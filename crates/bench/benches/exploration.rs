@@ -48,8 +48,8 @@ fn bench_exploration(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("session_lan", format!("/{len}")), &len, |b, _| {
             b.iter_batched(
                 || Network::new(topo.clone()),
-                |mut net| {
-                    let mut prober = SimProber::new(&mut net, vantage);
+                |net| {
+                    let mut prober = SimProber::new(&net, vantage);
                     black_box(Session::new(&mut prober, TracenetOptions::default()).run(target));
                     net
                 },

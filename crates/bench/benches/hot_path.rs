@@ -1,10 +1,10 @@
 //! Criterion microbenches for the lock-free probe hot path: the
 //! precomputed ECMP `next_hops` lookup (now a bounds-checked slice into
-//! an arena, no per-call allocation) and `inject` through the
-//! concurrent engine handle.
+//! an arena, no per-call allocation) and `inject` through the shared
+//! engine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use netsim::{ConcurrentNetwork, RoutingTable};
+use netsim::{Network, RoutingTable};
 use topogen::internet2;
 use wire::builder::icmp_probe;
 
@@ -31,9 +31,9 @@ fn bench_hot_path(c: &mut Criterion) {
         })
     });
 
-    // Full injections through the concurrent handle (walk + reply build),
+    // Full injections through the shared engine (walk + reply build),
     // no trace buffer, no lock contention (single thread).
-    let net = ConcurrentNetwork::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     let vantage = scenario.vantage("utdallas");
     let target = *scenario.targets.last().expect("targets");
     g.bench_function("inject_direct_concurrent", |b| {

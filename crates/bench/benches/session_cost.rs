@@ -16,12 +16,12 @@ fn bench_session(c: &mut Criterion) {
 
     // Print the probe-count comparison once, outside measurement.
     {
-        let mut net = Network::new(topo.clone());
-        let mut p = SimProber::new(&mut net, vantage);
+        let net = Network::new(topo.clone());
+        let mut p = SimProber::new(&net, vantage);
         let r = Session::new(&mut p, TracenetOptions::default()).run(dest);
         let tracenet_probes = p.stats().sent;
         let tracenet_addrs = r.all_addresses().len();
-        let mut p = SimProber::new(&mut net, vantage);
+        let mut p = SimProber::new(&net, vantage);
         let r = traceroute(&mut p, dest, TracerouteOptions::default());
         eprintln!(
             "figure3 path: tracenet {} probes -> {} addrs; traceroute {} probes -> {} addrs",
@@ -36,8 +36,8 @@ fn bench_session(c: &mut Criterion) {
     g.bench_function("tracenet_figure3", |b| {
         b.iter_batched(
             || Network::new(topo.clone()),
-            |mut net| {
-                let mut prober = SimProber::new(&mut net, vantage);
+            |net| {
+                let mut prober = SimProber::new(&net, vantage);
                 black_box(Session::new(&mut prober, TracenetOptions::default()).run(dest));
                 net
             },
@@ -47,8 +47,8 @@ fn bench_session(c: &mut Criterion) {
     g.bench_function("traceroute_figure3", |b| {
         b.iter_batched(
             || Network::new(topo.clone()),
-            |mut net| {
-                let mut prober = SimProber::new(&mut net, vantage);
+            |net| {
+                let mut prober = SimProber::new(&net, vantage);
                 black_box(traceroute(&mut prober, dest, TracerouteOptions::default()));
                 net
             },

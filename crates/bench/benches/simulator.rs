@@ -27,7 +27,7 @@ fn bench_simulator(c: &mut Criterion) {
     g.bench_function("inject_direct_probe", |b| {
         b.iter_batched(
             || Network::new(scenario.topology.clone()),
-            |mut net| {
+            |net| {
                 for seq in 0..64u16 {
                     black_box(net.inject(&icmp_probe(vantage, target, 64, 1, seq)));
                 }
@@ -41,7 +41,7 @@ fn bench_simulator(c: &mut Criterion) {
     g.bench_function("inject_ttl_scoped_probe", |b| {
         b.iter_batched(
             || Network::new(scenario.topology.clone()),
-            |mut net| {
+            |net| {
                 for seq in 0..64u16 {
                     black_box(net.inject(&icmp_probe(vantage, target, 3, 1, seq)));
                 }

@@ -136,10 +136,10 @@ pub fn accuracy_experiment(scenario: Scenario) -> AccuracyResult {
     let targets = scenario.targets.clone();
     let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
 
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     let registry = Arc::new(obs::Registry::new());
     let collected = run_tracenet_with(
-        &mut net,
+        &net,
         vantage,
         &targets,
         Protocol::Icmp,
@@ -151,7 +151,7 @@ pub fn accuracy_experiment(scenario: Scenario) -> AccuracyResult {
 
     // The paper's audit step, with a fresh prober (the sweeps are not
     // part of tracenet's collection cost).
-    let mut auditor = probe::SimProber::new(&mut net, vantage);
+    let mut auditor = probe::SimProber::new(&net, vantage);
     let log = evalkit::audit::audit_classifications(&mut auditor, &mut classifications);
     let audit_agreement = evalkit::audit::audit_agreement(&log, &gt);
 
@@ -191,7 +191,7 @@ pub fn accuracy_experiment_with(scenario: Scenario, args: &ExpArgs) -> AccuracyR
         &args.cfg,
         &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
     );
-    let wall_ticks = shared.with(|net| net.tick());
+    let wall_ticks = shared.tick();
     let mut classifications = classify(&gt, &collected.records());
 
     let mut auditor = shared.prober(vantage, probe::Protocol::Icmp);
@@ -267,13 +267,13 @@ pub const ISP_FLUCTUATION_PERIOD: u64 = 20_000;
 /// Runs the three-vantage ISP experiment (backs Figures 6–9).
 pub fn isp_experiment(seed: u64) -> IspExperiment {
     let scenario = isp_internet(seed);
-    let mut net = Network::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
+    let net = Network::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
     let mut runs = Vec::new();
     let mut tick_before = net.tick();
     for (name, addr) in scenario.vantages.clone() {
         let registry = Arc::new(obs::Registry::new());
         let collected = run_tracenet_with(
-            &mut net,
+            &net,
             addr,
             &scenario.targets,
             Protocol::Icmp,
@@ -302,19 +302,18 @@ pub fn isp_experiment_with(args: &ExpArgs) -> IspExperiment {
     let scenario = isp_internet(args.seed);
     let mut net = Network::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
     net.set_fault_plan(args.fault);
-    let shared = SharedNetwork::new(net);
     let mut runs = Vec::new();
-    let mut tick_before = shared.with(|net| net.tick());
+    let mut tick_before = net.tick();
     for (name, addr) in scenario.vantages.clone() {
         let registry = Arc::new(obs::Registry::new());
         let (collected, cache) = run_tracenet_batch(
-            &shared,
+            &net,
             addr,
             &scenario.targets,
             &args.cfg,
             &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
         );
-        let tick_after = shared.with(|net| net.tick());
+        let tick_after = net.tick();
         runs.push(VantageRun {
             vantage: name,
             collected,
@@ -510,8 +509,8 @@ pub fn overhead_sweep() -> Vec<OverheadPoint> {
             members.push(addr);
         }
         let target = members[members.len() / 2];
-        let mut net = Network::new(b.build().expect("overhead topology"));
-        let mut prober = probe::SimProber::new(&mut net, mk("10.0.0.0"));
+        let net = Network::new(b.build().expect("overhead topology"));
+        let mut prober = probe::SimProber::new(&net, mk("10.0.0.0"));
         let report = tracenet::Session::new(&mut prober, TracenetOptions::default()).run(target);
         let hop = report
             .hops
@@ -556,8 +555,8 @@ pub fn ablation(seed: u64) -> Vec<AblationRow> {
         let scenario = internet2(seed);
         let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network("internet2").collect();
         let vantage = scenario.vantages[0].1;
-        let mut net = Network::new(scenario.topology.clone());
-        let collected = run_tracenet(&mut net, vantage, &scenario.targets, Protocol::Icmp, opts);
+        let net = Network::new(scenario.topology.clone());
+        let collected = run_tracenet(&net, vantage, &scenario.targets, Protocol::Icmp, opts);
         (SubnetTable::build(&classify(&gt, &collected.records())), collected.probes)
     };
     let row = |config: &str, table: &SubnetTable, probes: u64| AblationRow {
@@ -591,9 +590,9 @@ pub fn ablation(seed: u64) -> Vec<AblationRow> {
         let scenario = internet2(seed);
         let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network("internet2").collect();
         let vantage = scenario.vantages[0].1;
-        let mut net = Network::new(scenario.topology.clone());
+        let net = Network::new(scenario.topology.clone());
         let (reports, _, probes) = evalkit::run::run_traceroute(
-            &mut net,
+            &net,
             vantage,
             &scenario.targets,
             Protocol::Icmp,
@@ -619,12 +618,12 @@ pub fn ablation(seed: u64) -> Vec<AblationRow> {
 pub fn table3(seed: u64) -> BTreeMap<&'static str, [usize; 3]> {
     let scenario = isp_internet(seed);
     let rice = scenario.vantage("rice");
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     let mut out: BTreeMap<&'static str, [usize; 3]> =
         ISP_NAMES.iter().map(|&n| (n, [0usize; 3])).collect();
     for (k, proto) in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp].into_iter().enumerate() {
         let collected =
-            run_tracenet(&mut net, rice, &scenario.targets, proto, &TracenetOptions::default());
+            run_tracenet(&net, rice, &scenario.targets, proto, &TracenetOptions::default());
         for &name in &ISP_NAMES {
             out.get_mut(name).expect("known isp")[k] = subnet_count(&collected, isp_region(name));
         }

@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 
 use netsim::Network;
 use obs::Recorder;
-use probe::SharedNetwork;
 use sweep::BatchConfig;
 use topogen::Scenario;
 
@@ -66,11 +65,11 @@ pub fn scaling_experiment(
             probe_rtt: rtt,
             ..BatchConfig::default()
         };
-        let shared = SharedNetwork::new(Network::new(scenario.topology.clone()));
+        let net = Network::new(scenario.topology.clone());
         let start = Instant::now();
-        let result = sweep::run_batch(&shared, vantage, &targets, &cfg, &Recorder::disabled());
+        let result = sweep::run_batch(&net, vantage, &targets, &cfg, &Recorder::disabled());
         let wall = start.elapsed();
-        let wall_ticks = shared.with(|n| n.tick());
+        let wall_ticks = net.tick();
 
         let render: Vec<String> = result.reports.iter().map(|r| format!("{r:?}")).collect();
         match &baseline_render {

@@ -238,7 +238,7 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
     let mut reports = Vec::new();
     for (k, &target) in targets.iter().enumerate() {
         let recorder = recorder.clone().with_session(k as u64);
-        let mut prober = SimProber::with_protocol(&mut net, v, proto)
+        let mut prober = SimProber::with_protocol(&net, v, proto)
             .ident(k as u16 ^ 0x7ace)
             .retry_policy(retry)
             .recorder(recorder.clone());
@@ -309,8 +309,8 @@ pub fn traceroute_cmd(opts: &Opts) -> Result<String, String> {
     tr_opts.probes_per_hop = opts.flag_parse("queries", tr_opts.probes_per_hop)?;
     tr_opts.max_ttl = opts.flag_parse("max-ttl", tr_opts.max_ttl)?;
 
-    let mut net = Network::new(scenario.topology.clone());
-    let mut prober = SimProber::with_protocol(&mut net, v, proto).flow_mode(if tr_opts.paris {
+    let net = Network::new(scenario.topology.clone());
+    let mut prober = SimProber::with_protocol(&net, v, proto).flow_mode(if tr_opts.paris {
         probe::FlowMode::Paris
     } else {
         probe::FlowMode::Classic
@@ -325,8 +325,8 @@ pub fn ping_cmd(opts: &Opts) -> Result<String, String> {
     let v = vantage(&scenario, opts)?;
     let target: Addr = opts.flag_required("target")?;
     let count = opts.flag_parse("count", 3u8)?;
-    let mut net = Network::new(scenario.topology.clone());
-    let mut prober = SimProber::new(&mut net, v);
+    let net = Network::new(scenario.topology.clone());
+    let mut prober = SimProber::new(&net, v);
     let r = traceroute::ping(&mut prober, target, count);
     Ok(match r.reply_from {
         Some(from) => format!("{}: {}/{} replies (from {from})\n", r.target, r.received, r.sent),
@@ -339,8 +339,8 @@ pub fn sweep(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
     let prefix: Prefix = opts.flag_required("prefix")?;
-    let mut net = Network::new(scenario.topology.clone());
-    let mut prober = SimProber::new(&mut net, v);
+    let net = Network::new(scenario.topology.clone());
+    let mut prober = SimProber::new(&net, v);
     let alive = traceroute::ping_sweep(&mut prober, prefix);
     let mut out = format!("{prefix}: {}/{} alive\n", alive.len(), prefix.probe_addrs().len());
     for a in alive {
@@ -373,9 +373,7 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
     };
     let mut net = Network::new(scenario.topology.clone());
     net.set_fault_plan(fault_plan(opts)?);
-    let shared = probe::SharedNetwork::new(net);
-    let (collected, cache) =
-        evalkit::run::run_tracenet_batch(&shared, v, &targets, &cfg, &recorder);
+    let (collected, cache) = evalkit::run::run_tracenet_batch(&net, v, &targets, &cfg, &recorder);
     recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
     let metrics_table = match &metrics {
         Some(m) => m.write()?,
@@ -426,10 +424,10 @@ pub fn map(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
     let proto = protocol(opts)?;
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     let mut graph = evalkit::graph::SubnetGraph::new();
     for (k, &target) in scenario.targets.iter().enumerate() {
-        let mut prober = SimProber::with_protocol(&mut net, v, proto).ident(k as u16 ^ 0x3a90);
+        let mut prober = SimProber::with_protocol(&net, v, proto).ident(k as u16 ^ 0x3a90);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(target);
         graph.add_report(&report);
     }
@@ -453,11 +451,11 @@ pub fn crossval(opts: &Opts) -> Result<String, String> {
         ));
     }
     let proto = protocol(opts)?;
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     let mut sets = Vec::new();
     for (name, addr) in scenario.vantages.clone() {
         let collected = evalkit::run::run_tracenet(
-            &mut net,
+            &net,
             addr,
             &scenario.targets,
             proto,
@@ -615,8 +613,7 @@ pub fn record(opts: &Opts) -> Result<String, String> {
     };
     let mut net = Network::new(scenario.topology.clone());
     net.set_fault_plan(fault_plan(opts)?);
-    let shared = probe::SharedNetwork::new(net);
-    let result = sweep::run_batch(&shared, v, &targets, &cfg, &recorder);
+    let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     let mut w = writer.lock().map_err(|_| "exchange log writer poisoned".to_string())?;
     for (k, report) in result.reports.iter().enumerate() {
         w.write_report(k as u64, &report_to_json(report));
@@ -863,14 +860,9 @@ pub fn eval(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
     let proto = protocol(opts)?;
-    let mut net = Network::new(scenario.topology.clone());
-    let collected = evalkit::run::run_tracenet(
-        &mut net,
-        v,
-        &scenario.targets,
-        proto,
-        &TracenetOptions::default(),
-    );
+    let net = Network::new(scenario.topology.clone());
+    let collected =
+        evalkit::run::run_tracenet(&net, v, &scenario.targets, proto, &TracenetOptions::default());
 
     let mut out = format!(
         "collected {} subnets, {} addresses, {} probes over {} sessions\n",
@@ -887,7 +879,7 @@ pub fn eval(opts: &Opts) -> Result<String, String> {
     for network in networks {
         let gt: Vec<&topogen::GtSubnet> = scenario.ground_truth.of_network(&network).collect();
         let mut cls = evalkit::classify::classify(&gt, &collected.records());
-        let mut auditor = SimProber::new(&mut net, v);
+        let mut auditor = SimProber::new(&net, v);
         evalkit::audit::audit_classifications(&mut auditor, &mut cls);
         let table = evalkit::classify::SubnetTable::build(&cls);
         out.push_str(&format!("\n== {network} ==\n{table}"));

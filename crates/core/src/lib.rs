@@ -36,7 +36,7 @@
 //!
 //! let (topo, names) = samples::figure3();
 //! let mut net = Network::new(topo);
-//! let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+//! let mut prober = SimProber::new(&net, names.addr("vantage"));
 //! let report = Session::new(&mut prober, TracenetOptions::default())
 //!     .run(names.addr("dest"));
 //! assert!(report.destination_reached);

@@ -15,13 +15,13 @@ fn recorded_session(
     dest: &str,
 ) -> (tracenet::TraceReport, Vec<obs::ProbeEvent>, Arc<Registry>) {
     let (topo, names) = sample;
-    let mut net = Network::new(topo);
+    let net = Network::new(topo);
     let sink = VecSink::new();
     let reader = sink.clone();
     let metrics = Arc::new(Registry::new());
     let recorder =
         Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&metrics));
-    let mut prober = SimProber::new(&mut net, names.addr(vantage)).recorder(recorder.clone());
+    let mut prober = SimProber::new(&net, names.addr(vantage)).recorder(recorder.clone());
     let report = Session::new(&mut prober, TracenetOptions::default())
         .with_recorder(recorder)
         .run(names.addr(dest));

@@ -61,9 +61,9 @@ mod tests {
 
     fn collect_chain() -> (CollectedSet, Addr) {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let set = crate::run::run_tracenet(
-            &mut net,
+            &net,
             names.addr("vantage"),
             &[names.addr("dest")],
             Protocol::Icmp,

@@ -130,8 +130,8 @@ mod tests {
 
     fn figure3_graph() -> SubnetGraph {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = Network::new(topo);
+        let mut prober = SimProber::new(&net, names.addr("vantage"));
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         let mut g = SubnetGraph::new();
         g.add_report(&report);
@@ -152,10 +152,10 @@ mod tests {
     #[test]
     fn repeated_traces_accumulate_edge_weight() {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let mut g = SubnetGraph::new();
         for k in 0..3 {
-            let mut prober = SimProber::new(&mut net, names.addr("vantage")).ident(k);
+            let mut prober = SimProber::new(&net, names.addr("vantage")).ident(k);
             let report =
                 Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
             g.add_report(&report);

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use inet::{Addr, Prefix, SubnetRecord};
 use netsim::Network;
-use probe::{Prober, Protocol, SharedNetwork, SimProber};
+use probe::{Prober, Protocol, SimProber};
 use sweep::{BatchConfig, BatchResult, CacheStats};
 use tracenet::{TraceReport, TracenetOptions};
 use traceroute::{TracerouteOptions, TracerouteReport};
@@ -117,7 +117,7 @@ impl CollectedSet {
 /// Runs one tracenet session per target from `vantage` and folds the
 /// results.
 pub fn run_tracenet(
-    net: &mut Network,
+    net: &Network,
     vantage: Addr,
     targets: &[Addr],
     protocol: Protocol,
@@ -131,7 +131,7 @@ pub fn run_tracenet(
 /// (and optionally a JSONL sink) on it and read per-phase numbers from
 /// the registry snapshot afterwards.
 pub fn run_tracenet_with(
-    net: &mut Network,
+    net: &Network,
     vantage: Addr,
     targets: &[Addr],
     protocol: Protocol,
@@ -140,7 +140,7 @@ pub fn run_tracenet_with(
 ) -> CollectedSet {
     let cfg =
         BatchConfig { jobs: 1, use_cache: false, protocol, opts: *opts, ..BatchConfig::default() };
-    CollectedSet::from_batch(&sweep::run_batch_seq(net, vantage, targets, &cfg, recorder))
+    CollectedSet::from_batch(&sweep::run_batch(net, vantage, targets, &cfg, recorder))
 }
 
 /// Batch collection over a shared network: the worker-pool engine with
@@ -148,7 +148,7 @@ pub fn run_tracenet_with(
 /// conformance suite pins this equal to [`run_tracenet`] on the subnet
 /// level; only probe counts may differ (cached ≤ uncached).
 pub fn run_tracenet_batch(
-    net: &SharedNetwork,
+    net: &Network,
     vantage: Addr,
     targets: &[Addr],
     cfg: &BatchConfig,
@@ -161,7 +161,7 @@ pub fn run_tracenet_batch(
 /// Runs one traceroute per target (the baseline's view of the same
 /// network): returns the reports plus the distinct addresses seen.
 pub fn run_traceroute(
-    net: &mut Network,
+    net: &Network,
     vantage: Addr,
     targets: &[Addr],
     protocol: Protocol,
@@ -189,9 +189,9 @@ mod tests {
     #[test]
     fn run_tracenet_collects_the_chain() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let set = run_tracenet(
-            &mut net,
+            &net,
             names.addr("vantage"),
             &[names.addr("dest")],
             Protocol::Icmp,
@@ -207,11 +207,11 @@ mod tests {
     #[test]
     fn recorder_variant_accounts_every_probe() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let metrics = std::sync::Arc::new(obs::Registry::new());
         let recorder = obs::Recorder::new().with_metrics(std::sync::Arc::clone(&metrics));
         let set = run_tracenet_with(
-            &mut net,
+            &net,
             names.addr("vantage"),
             &[names.addr("dest")],
             Protocol::Icmp,
@@ -226,12 +226,12 @@ mod tests {
     #[test]
     fn duplicate_subnets_merge_members() {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         // Two targets behind the same path: subnets collected twice must
         // merge, not duplicate.
         let targets = [names.addr("dest"), names.addr("R5.n")];
         let set = run_tracenet(
-            &mut net,
+            &net,
             names.addr("vantage"),
             &targets,
             Protocol::Icmp,
@@ -245,9 +245,9 @@ mod tests {
     #[test]
     fn region_filters_work() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let set = run_tracenet(
-            &mut net,
+            &net,
             names.addr("vantage"),
             &[names.addr("dest")],
             Protocol::Icmp,
@@ -264,14 +264,14 @@ mod tests {
     #[test]
     fn traceroute_driver_sees_fewer_addresses() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
         let (reports, tr_addrs, probes) =
-            run_traceroute(&mut net, v, &[d], Protocol::Icmp, &TracerouteOptions::default());
+            run_traceroute(&net, v, &[d], Protocol::Icmp, &TracerouteOptions::default());
         assert_eq!(reports.len(), 1);
         assert!(probes > 0);
-        let tn = run_tracenet(&mut net, v, &[d], Protocol::Icmp, &TracenetOptions::default());
+        let tn = run_tracenet(&net, v, &[d], Protocol::Icmp, &TracenetOptions::default());
         assert!(
             tn.addresses().len() > tr_addrs.len(),
             "tracenet must discover more addresses ({} vs {})",

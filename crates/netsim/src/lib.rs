@@ -40,7 +40,7 @@
 //! use wire::builder;
 //!
 //! let (topo, names) = samples::figure3();
-//! let mut net = Network::new(topo);
+//! let net = Network::new(topo);
 //! let vantage = names.addr("vantage");
 //! let pivot = names.addr("R4.e");
 //!

@@ -1,15 +1,11 @@
-//! Stress tests for the concurrent engine: N threads hammering one
-//! `ConcurrentNetwork` must preserve the determinism and accounting
-//! contracts the sequential engine pins.
+//! Stress tests for the engine under concurrency: N threads hammering
+//! one `Network` must preserve the determinism and accounting contracts
+//! a single-threaded caller observes.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use inet::Addr;
-use netsim::{
-    samples, ConcurrentNetwork, Network, RateLimit, RouterConfig, SilenceReason, TopologyBuilder,
-    Verdict,
-};
+use netsim::{samples, Network, RateLimit, RouterConfig, SilenceReason, TopologyBuilder, Verdict};
 use wire::builder::icmp_probe;
 
 const THREADS: usize = 8;
@@ -22,16 +18,16 @@ fn a(s: &str) -> Addr {
 /// Per-flow ECMP decisions are pure hashes, so the branch a flow takes
 /// through the diamond cannot depend on thread interleaving: every
 /// thread probing the same flow must see the same TTL-2 router, and it
-/// must be the router the sequential engine picks.
+/// must be the router a single-threaded run picks.
 #[test]
 fn per_flow_routing_is_deterministic_under_contention() {
     let (topo, names) = samples::diamond();
     let v = names.addr("vantage");
     let d = names.addr("dest");
 
-    // Sequential baseline: which address answers TTL=2 for each flow.
+    // Single-threaded baseline: which address answers TTL=2 for each flow.
     let (topo_seq, _) = samples::diamond();
-    let mut seq = Network::new(topo_seq);
+    let seq = Network::new(topo_seq);
     let baseline: BTreeMap<u16, Addr> = (0..16u16)
         .map(|ident| {
             let reply = seq.inject(&icmp_probe(v, d, 2, ident, 0)).reply().unwrap();
@@ -39,10 +35,10 @@ fn per_flow_routing_is_deterministic_under_contention() {
         })
         .collect();
 
-    let net = Arc::new(ConcurrentNetwork::new(topo));
+    let net = Network::new(topo);
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            let net = Arc::clone(&net);
+            let net = &net;
             let baseline = &baseline;
             scope.spawn(move || {
                 for k in 0..PROBES_PER_THREAD {
@@ -66,10 +62,10 @@ fn every_injection_claims_exactly_one_tick() {
     let (topo, names) = samples::chain(2);
     let v = names.addr("vantage");
     let d = names.addr("dest");
-    let net = Arc::new(ConcurrentNetwork::new(topo));
+    let net = Network::new(topo);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let net = Arc::clone(&net);
+            let net = &net;
             scope.spawn(move || {
                 for k in 0..PROBES_PER_THREAD {
                     if (t + k) % 5 == 0 {
@@ -87,7 +83,7 @@ fn every_injection_claims_exactly_one_tick() {
 
 /// A rate-limited router with a refill period longer than the probe
 /// burst must hand out exactly `capacity` replies no matter how many
-/// threads compete — the same total the sequential engine produces.
+/// threads compete — the same total a single-threaded run produces.
 #[test]
 fn token_accounting_totals_match_the_sequential_engine() {
     const CAPACITY: u32 = 24;
@@ -106,8 +102,8 @@ fn token_accounting_totals_match_the_sequential_engine() {
         b.build().unwrap()
     }
 
-    // Sequential total.
-    let mut seq = Network::new(limited_topo());
+    // Single-threaded total.
+    let seq = Network::new(limited_topo());
     let mut seq_replies = 0u32;
     for k in 0..(THREADS * PROBES_PER_THREAD) as u16 {
         if seq.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.1"), 64, 1, k)).reply().is_some() {
@@ -117,12 +113,12 @@ fn token_accounting_totals_match_the_sequential_engine() {
     assert_eq!(seq_replies, CAPACITY);
 
     // Concurrent total.
-    let net = Arc::new(ConcurrentNetwork::new(limited_topo()));
-    let replies = Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let net = Network::new(limited_topo());
+    let replies = std::sync::atomic::AtomicU32::new(0);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let net = Arc::clone(&net);
-            let replies = Arc::clone(&replies);
+            let net = &net;
+            let replies = &replies;
             scope.spawn(move || {
                 for k in 0..PROBES_PER_THREAD {
                     let probe = icmp_probe(a("10.0.0.0"), a("10.0.0.1"), 64, t as u16, k as u16);
@@ -151,10 +147,10 @@ fn traced_injections_stay_coherent_per_thread() {
     let (topo, names) = samples::chain(3);
     let v = names.addr("vantage");
     let d = names.addr("dest");
-    let net = Arc::new(ConcurrentNetwork::new(topo));
+    let net = Network::new(topo);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let net = Arc::clone(&net);
+            let net = &net;
             scope.spawn(move || {
                 let mut buf = Vec::new();
                 for k in 0..PROBES_PER_THREAD {

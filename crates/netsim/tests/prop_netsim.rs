@@ -2,10 +2,10 @@
 //! policy invariants on randomized topologies.
 
 use inet::{Addr, Prefix};
-use netsim::{samples, Network, RouterConfig, RoutingTable, TopologyBuilder};
+use netsim::{samples, FaultPlan, Network, RouterConfig, RoutingTable, TopologyBuilder, Verdict};
 use proptest::prelude::*;
-use wire::builder::icmp_probe;
-use wire::{IcmpMessage, Payload};
+use wire::builder::{icmp_probe, tcp_probe, udp_probe, UDP_PROBE_BASE_PORT};
+use wire::{IcmpMessage, Packet, Payload, UnreachableCode};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -15,7 +15,7 @@ proptest! {
     #[test]
     fn chain_ttl_scoping(n in 1u32..8) {
         let (topo, names) = samples::chain(n);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
         for k in 1..=n as u8 {
@@ -41,7 +41,7 @@ proptest! {
         let routing = RoutingTable::compute(&topo);
         let v_owner = topo.owner_of(vantage).unwrap();
         let addrs: Vec<Addr> = topo.ifaces().iter().map(|i| i.addr).collect();
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         for addr in addrs {
             let owner = net.topology().owner_of(addr).unwrap();
             if !routing.reachable(v_owner, owner) {
@@ -88,6 +88,50 @@ proptest! {
             {
                 prop_assert!(max - min <= 1, "subnet spans hops {min}..{max}");
             }
+        }
+    }
+    /// Every reply the engine emits survives the wire codec unchanged:
+    /// probers classify the engine's reply packet directly, which is only
+    /// what a raw socket would see if encoding and decoding it is the
+    /// identity. ICMP, UDP and TCP probes at every TTL, to every address,
+    /// with and without a fault plan.
+    #[test]
+    fn every_reply_round_trips_through_the_codec(seed in 0u64..500, faulty in any::<bool>()) {
+        let (topo, vantage) = random_mesh(seed);
+        let addrs: Vec<Addr> = topo.ifaces().iter().map(|i| i.addr).collect();
+        let mut net = Network::new(topo);
+        if faulty {
+            let plan = FaultPlan { forward_loss: 0.1, reply_loss: 0.2, ..FaultPlan::new(seed) };
+            net.set_fault_plan(Some(plan));
+        }
+        // Reply kinds seen: echo reply, TTL exceeded, port unreachable, RST.
+        let mut seen = [false; 4];
+        for (k, &dst) in addrs.iter().enumerate() {
+            let id = k as u16;
+            for ttl in 1..=6u8 {
+                let probes = [
+                    icmp_probe(vantage, dst, ttl, id, ttl as u16),
+                    udp_probe(vantage, dst, ttl, 0x8000 | id, UDP_PROBE_BASE_PORT + ttl as u16),
+                    tcp_probe(vantage, dst, ttl, 0x9000 | id, 80),
+                ];
+                for probe in &probes {
+                    let Verdict::Reply(r) = net.inject(probe) else { continue };
+                    prop_assert_eq!(Packet::decode(&r.encode()), Ok(r.clone()), "seed {}", seed);
+                    let kind = match &r.payload {
+                        Payload::Icmp(IcmpMessage::EchoReply { .. }) => 0,
+                        Payload::Icmp(IcmpMessage::TtlExceeded { .. }) => 1,
+                        Payload::Icmp(IcmpMessage::Unreachable {
+                            code: UnreachableCode::Port, ..
+                        }) => 2,
+                        Payload::Tcp(_) => 3,
+                        _ => continue,
+                    };
+                    seen[kind] = true;
+                }
+            }
+        }
+        if !faulty {
+            prop_assert_eq!(seen, [true; 4], "seed {}: every reply kind is exercised", seed);
         }
     }
 }

@@ -5,19 +5,19 @@
 //! the same algorithm code runs over:
 //!
 //! * [`SimProber`] — encodes genuine wire packets (via the `wire` crate),
-//!   injects them into a `netsim::Network`, decodes and *validates* the
+//!   injects them into a shared `netsim::Network` and *validates* the
 //!   replies (echo identifiers, quoted datagrams) exactly as a raw-socket
-//!   prober must;
+//!   prober must. The engine probes through `&Network`, so several
+//!   vantage points and batch worker threads each hold their own
+//!   `SimProber` over one simulated Internet, without a global lock;
+//!   [`SharedNetwork`] adds collision-free default idents for them;
 //! * [`ScriptedProber`] — a hand-authored table of (destination, TTL) →
 //!   outcome, used to unit-test algorithm logic in isolation;
 //! * [`CachingProber`] — a transparent memo layer implementing the
 //!   paper's probe-merging optimization ("our tracenet implementation is
 //!   optimized to collect the subnets with the least number of probes and
 //!   some of the rules are merged together", §3.5): heuristics H3 and H6
-//!   share a single `⟨l, jʰ−1⟩` probe through this cache;
-//! * [`SharedSimProber`] — a `SimProber` over a shared concurrent network
-//!   handle (`netsim::ConcurrentNetwork`), so several vantage points and
-//!   worker threads probe one simulated Internet without a global lock.
+//!   share a single `⟨l, jʰ−1⟩` probe through this cache.
 //!
 //! The probe vocabulary (§3.1 of the paper) is captured by
 //! [`ProbeOutcome`]: a **direct reply** (echo reply / port unreachable /
@@ -47,7 +47,7 @@ pub use prober::{FlowMode, ProbeStats, Prober};
 pub use replay::ReplayProber;
 pub use retry::{RetryPolicy, DEFAULT_RETRIES};
 pub use scripted::ScriptedProber;
-pub use shared::{SharedNetwork, SharedSimProber};
+pub use shared::SharedNetwork;
 pub use sim::SimProber;
 
 pub use wire::Protocol;

@@ -2,228 +2,54 @@
 //!
 //! The paper's cross-validation experiment (§4.2, Figure 6) runs the same
 //! target list from three PlanetLab sites against the *same* Internet.
-//! [`SharedNetwork`] wraps a `netsim::ConcurrentNetwork` — the engine's
-//! lock-free shared handle — so one [`SharedSimProber`] per vantage (or
-//! per batch worker) probes it concurrently: the topology and routing
-//! tables are immutable and read without any lock, the packet clock is
-//! atomic, and rate limiters live behind per-router shards inside the
-//! engine. Shared state (rate limiters, the fluctuation clock) therefore
-//! stays honest across vantages without serializing the probe hot path.
+//! The engine itself is shareable — every `netsim::Network` probing
+//! method takes `&self` — so [`SharedNetwork`] only adds what several
+//! independent probers need on top: collision-free default idents.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::ops::Deref;
 
 use inet::Addr;
-use netsim::{ConcurrentNetwork, Network, Verdict};
-use obs::{ProbeEvent, Recorder, TimeoutCause};
-use wire::{builder, Packet, Protocol};
+use netsim::Network;
+use wire::Protocol;
 
 use crate::ident::{IdentAllocator, IdentSpace};
-use crate::outcome::ProbeOutcome;
-use crate::prober::{ProbeStats, Prober};
-use crate::retry::{RetryPolicy, RetryState};
-use crate::sim::silence_cause;
+use crate::sim::SimProber;
 
-/// A cloneable handle to a concurrently probeable network.
-///
-/// The handle also owns an [`IdentAllocator`], so probers created without
-/// an explicit [`SharedSimProber::ident`] draw collision-free defaults
-/// from the `Aux` namespace instead of all sharing one magic constant.
-#[derive(Clone)]
+/// A network plus an [`IdentAllocator`], so probers created without an
+/// explicit [`SimProber::ident`] draw collision-free defaults from the
+/// `Aux` namespace instead of all sharing one magic constant. Derefs to
+/// the [`Network`], so it goes wherever a `&Network` is expected.
 pub struct SharedNetwork {
-    inner: Arc<ConcurrentNetwork>,
-    idents: Arc<IdentAllocator>,
+    net: Network,
+    idents: IdentAllocator,
 }
 
 impl SharedNetwork {
-    /// Adopts a configured network (dropping its trace buffer).
+    /// Adopts a configured network.
     pub fn new(net: Network) -> SharedNetwork {
-        SharedNetwork::from_concurrent(net.into_concurrent())
-    }
-
-    /// Wraps an already-concurrent engine handle.
-    pub fn from_concurrent(net: ConcurrentNetwork) -> SharedNetwork {
-        SharedNetwork { inner: Arc::new(net), idents: Arc::new(IdentAllocator::new()) }
-    }
-
-    /// Runs `f` with the shared network. Purely a convenience — access is
-    /// lock-free, so `f` runs concurrently with other holders.
-    pub fn with<R>(&self, f: impl FnOnce(&ConcurrentNetwork) -> R) -> R {
-        f(&self.inner)
-    }
-
-    /// The shared ident allocator (batch drivers reserve blocks here so
-    /// their sessions never collide with default-ident probers).
-    pub fn idents(&self) -> &IdentAllocator {
-        &self.idents
+        SharedNetwork { net, idents: IdentAllocator::new() }
     }
 
     /// Creates a prober for the given vantage address and protocol. The
     /// session ident defaults to a fresh slot in the `Aux` namespace;
-    /// override with [`SharedSimProber::ident`] for a pinned flow.
-    pub fn prober(&self, src: Addr, protocol: Protocol) -> SharedSimProber {
-        let known = self.inner.topology().owner_of(src).is_some();
-        assert!(known, "prober source {src} is not an interface of the network");
-        SharedSimProber {
-            net: self.clone(),
-            src,
-            protocol,
-            ident: self.idents.ident(IdentSpace::Aux),
-            seq: 0,
-            rtt: Duration::ZERO,
-            retry: RetryState::new(RetryPolicy::default()),
-            stats: ProbeStats::default(),
-            recorder: Recorder::disabled(),
-        }
+    /// override with [`SimProber::ident`] for a pinned flow.
+    pub fn prober(&self, src: Addr, protocol: Protocol) -> SimProber<'_> {
+        SimProber::with_protocol(&self.net, src, protocol).ident(self.idents.ident(IdentSpace::Aux))
     }
 }
 
-/// A [`Prober`] over a [`SharedNetwork`] (always Paris-mode: one stable
-/// flow per session, as tracenet requires).
-pub struct SharedSimProber {
-    net: SharedNetwork,
-    src: Addr,
-    protocol: Protocol,
-    ident: u16,
-    seq: u16,
-    rtt: Duration,
-    retry: RetryState,
-    stats: ProbeStats,
-    recorder: Recorder,
-}
+impl Deref for SharedNetwork {
+    type Target = Network;
 
-impl SharedSimProber {
-    /// Sets the session identifier, distinguishing this vantage's flows.
-    pub fn ident(mut self, ident: u16) -> Self {
-        self.ident = ident;
-        self
-    }
-
-    /// Models a per-probe round-trip time: every wire send blocks this
-    /// thread for `rtt` while the (simulated-instantaneous) reply is "in
-    /// flight". `Duration::ZERO` (the default) skips the sleep entirely,
-    /// keeping single-job runs byte- and time-identical; a nonzero RTT
-    /// makes batch probing latency-bound, which is what `--jobs`
-    /// parallelism overlaps — exactly as real probes overlap network
-    /// waits.
-    pub fn rtt(mut self, rtt: Duration) -> Self {
-        self.rtt = rtt;
-        self
-    }
-
-    /// Sets a fixed silence retry budget (shorthand for
-    /// [`SharedSimProber::retry_policy`] with [`RetryPolicy::Fixed`]).
-    pub fn retries(mut self, retries: u8) -> Self {
-        self.retry = RetryState::new(RetryPolicy::Fixed { retries });
-        self
-    }
-
-    /// Sets the retry policy governing re-probes after silence.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = RetryState::new(policy);
-        self
-    }
-
-    /// Attaches a recorder that observes every wire attempt.
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    fn build_probe(&mut self, dst: Addr, ttl: u8) -> Packet {
-        self.seq = self.seq.wrapping_add(1);
-        match self.protocol {
-            Protocol::Icmp => builder::icmp_probe(self.src, dst, ttl, self.ident, self.seq),
-            Protocol::Udp => builder::udp_probe(
-                self.src,
-                dst,
-                ttl,
-                0x8000 | self.ident,
-                builder::UDP_PROBE_BASE_PORT,
-            ),
-            Protocol::Tcp => builder::tcp_probe(self.src, dst, ttl, 0x9000 | self.ident, 80),
-        }
-    }
-}
-
-impl Prober for SharedSimProber {
-    fn src(&self) -> Addr {
-        self.src
-    }
-
-    fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-
-    fn probe_with_flow(&mut self, dst: Addr, ttl: u8, flow: u16) -> ProbeOutcome {
-        self.stats.requests += 1;
-        let mut outcome = ProbeOutcome::Timeout;
-        let mut cause: Option<TimeoutCause> = None;
-        for attempt in 0..=self.retry.budget() {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                let delay = self.retry.delay(attempt);
-                if delay > 0 {
-                    self.net.inner.advance(delay);
-                }
-            }
-            let probe = self.build_probe(dst, ttl);
-            self.stats.sent += 1;
-            // The injection's own tick, not `tick()` afterwards: other
-            // workers may have injected in between.
-            let (verdict, tick) = self.net.inner.inject_bytes_ticked(&probe.encode());
-            if self.rtt > Duration::ZERO {
-                std::thread::sleep(self.rtt);
-            }
-            (outcome, cause) = match verdict {
-                Verdict::Reply(reply) => {
-                    let o = crate::sim::classify_reply(self.protocol, self.src, &probe, &reply);
-                    let c = (o == ProbeOutcome::Timeout).then_some(TimeoutCause::StrayReply);
-                    (o, c)
-                }
-                Verdict::Silent(reason) => (ProbeOutcome::Timeout, Some(silence_cause(reason))),
-            };
-            self.recorder.record(|| {
-                let (kind, from) = outcome.observed();
-                ProbeEvent {
-                    tick,
-                    session: None,
-                    vantage: self.src,
-                    dst,
-                    ttl,
-                    protocol: self.protocol,
-                    flow,
-                    attempt,
-                    outcome: kind,
-                    from,
-                    phase: None,
-                    cause: None,
-                    timeout_cause: cause,
-                    unreach: outcome.unreach_reason(),
-                }
-            });
-            if outcome != ProbeOutcome::Timeout {
-                cause = None;
-                break;
-            }
-        }
-        self.retry.note(outcome == ProbeOutcome::Timeout);
-        self.stats.record(&outcome, cause);
-        outcome
-    }
-
-    fn stats(&self) -> ProbeStats {
-        self.stats
-    }
-
-    fn clock(&self) -> u64 {
-        self.net.inner.tick()
+    fn deref(&self) -> &Network {
+        &self.net
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ProbeOutcome, Prober};
     use netsim::samples;
 
     #[test]
@@ -241,55 +67,7 @@ mod tests {
         assert_eq!(pa.probe(d_addr, 64), ProbeOutcome::DirectReply { from: d_addr });
         assert_eq!(pb.probe(c_addr, 64), ProbeOutcome::DirectReply { from: c_addr });
         // Engine clock advanced for both (shared state).
-        assert!(shared.with(|n| n.tick()) >= 2);
-    }
-
-    #[test]
-    fn stats_invariants_hold_for_shared_prober() {
-        let (topo, names) = samples::chain(2);
-        let shared = SharedNetwork::new(Network::new(topo));
-        let v = names.addr("vantage");
-        let d = names.addr("dest");
-        let mut p = shared.prober(v, Protocol::Icmp).retries(2);
-        let _ = p.probe(d, 64); // direct reply
-        let _ = p.probe(d, 1); // ttl exceeded
-        let _ = p.probe("99.0.0.1".parse().unwrap(), 64); // timeout ×3 attempts
-        let s = p.stats();
-        assert_eq!(s.sent, s.requests + s.retries, "every send is a request or a retry");
-        assert_eq!(
-            s.requests,
-            s.direct_replies + s.ttl_exceeded + s.unreachable + s.timeouts,
-            "every request resolves to exactly one outcome"
-        );
-        assert_eq!(s.requests, 3);
-        assert_eq!(s.retries, 2);
-    }
-
-    #[test]
-    fn recorder_counts_match_stats() {
-        use obs::{Registry, SinkHandle, VecSink};
-        use std::sync::Arc;
-
-        let (topo, names) = samples::chain(1);
-        let shared = SharedNetwork::new(Network::new(topo));
-        let sink = VecSink::new();
-        let reader = sink.clone();
-        let metrics = Arc::new(Registry::new());
-        let recorder =
-            Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&metrics));
-        let mut p = shared.prober(names.addr("vantage"), Protocol::Icmp).recorder(recorder);
-        let _ = p.probe(names.addr("dest"), 64);
-        let _ = p.probe("99.0.0.1".parse().unwrap(), 64);
-        assert_eq!(reader.len() as u64, p.stats().sent, "one event per wire send");
-        assert_eq!(metrics.sent_total(), p.stats().sent);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an interface")]
-    fn unknown_vantage_is_rejected() {
-        let (topo, _) = samples::chain(1);
-        let shared = SharedNetwork::new(Network::new(topo));
-        let _ = shared.prober("203.0.113.1".parse().unwrap(), Protocol::Icmp);
+        assert!(shared.tick() >= 2);
     }
 
     #[test]
@@ -303,18 +81,5 @@ mod tests {
             let base = IdentSpace::Aux.base();
             assert!(p.ident >= base, "default idents come from the Aux namespace");
         }
-    }
-
-    #[test]
-    fn rtt_sleep_does_not_change_outcomes() {
-        let (topo, names) = samples::chain(1);
-        let shared = SharedNetwork::new(Network::new(topo));
-        let mut p = shared
-            .prober(names.addr("vantage"), Protocol::Icmp)
-            .ident(7)
-            .rtt(Duration::from_micros(50));
-        let d = names.addr("dest");
-        assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
-        assert_eq!(shared.with(|n| n.tick()), 1);
     }
 }

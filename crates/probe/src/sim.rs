@@ -1,11 +1,14 @@
 //! [`SimProber`]: the raw-socket prober's simulated twin.
 //!
-//! Every probe is encoded to real wire bytes, injected into the
-//! simulator, and the returned bytes are decoded and *validated* the way
-//! a live prober must: an echo reply only counts if it carries this
-//! session's identifier, and an ICMP error only counts if the quoted
-//! datagram matches the probe that was sent. Stray or forged replies are
-//! treated as silence.
+//! Every probe is encoded to real wire bytes and injected into the
+//! simulator, and the reply is *validated* the way a live prober must:
+//! an echo reply only counts if it carries this session's identifier,
+//! and an ICMP error only counts if the quoted datagram matches the
+//! probe that was sent. Stray or forged replies are treated as silence.
+//! The engine is shared (`&Network`), so any number of probers — one
+//! per vantage or per batch worker — probe one network at once.
+
+use std::time::Duration;
 
 use inet::Addr;
 use netsim::{Network, SilenceReason, Verdict};
@@ -16,14 +19,15 @@ use crate::outcome::{ProbeOutcome, UnreachKind};
 use crate::prober::{FlowMode, ProbeStats, Prober};
 use crate::retry::{RetryPolicy, RetryState};
 
-/// A prober over a `netsim::Network`.
+/// A prober over a shared `netsim::Network`.
 pub struct SimProber<'n> {
-    net: &'n mut Network,
+    net: &'n Network,
     src: Addr,
     protocol: Protocol,
     flow_mode: FlowMode,
-    ident: u16,
+    pub(crate) ident: u16,
     seq: u16,
+    rtt: Duration,
     retry: RetryState,
     stats: ProbeStats,
     recorder: Recorder,
@@ -32,12 +36,12 @@ pub struct SimProber<'n> {
 impl<'n> SimProber<'n> {
     /// Creates an ICMP prober sourced at `src` (must be a host interface
     /// of the network).
-    pub fn new(net: &'n mut Network, src: Addr) -> SimProber<'n> {
+    pub fn new(net: &'n Network, src: Addr) -> SimProber<'n> {
         SimProber::with_protocol(net, src, Protocol::Icmp)
     }
 
     /// Creates a prober with an explicit probe protocol.
-    pub fn with_protocol(net: &'n mut Network, src: Addr, protocol: Protocol) -> SimProber<'n> {
+    pub fn with_protocol(net: &'n Network, src: Addr, protocol: Protocol) -> SimProber<'n> {
         assert!(
             net.topology().owner_of(src).is_some(),
             "prober source {src} is not an interface of the network"
@@ -49,6 +53,7 @@ impl<'n> SimProber<'n> {
             flow_mode: FlowMode::Paris,
             ident: DEFAULT_IDENT,
             seq: 0,
+            rtt: Duration::ZERO,
             retry: RetryState::new(RetryPolicy::default()),
             stats: ProbeStats::default(),
             recorder: Recorder::disabled(),
@@ -80,15 +85,21 @@ impl<'n> SimProber<'n> {
         self
     }
 
+    /// Models a per-probe round-trip time: every wire send blocks this
+    /// thread for `rtt` while the (simulated-instantaneous) reply is "in
+    /// flight". `Duration::ZERO` (the default) skips the sleep entirely;
+    /// a nonzero RTT makes batch probing latency-bound, which is what
+    /// `--jobs` parallelism overlaps — exactly as real probes overlap
+    /// network waits.
+    pub fn rtt(mut self, rtt: Duration) -> Self {
+        self.rtt = rtt;
+        self
+    }
+
     /// Attaches a recorder that observes every wire attempt.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// Access to the underlying network (for assertions in tests).
-    pub fn network(&self) -> &Network {
-        self.net
     }
 
     fn build_probe(&mut self, dst: Addr, ttl: u8, flow: u16) -> Packet {
@@ -128,7 +139,7 @@ impl<'n> SimProber<'n> {
 /// only when it carries the session's identifier; an ICMP error counts
 /// only when the quoted datagram matches the outstanding probe; a port
 /// unreachable is a success for UDP probing and noise otherwise.
-pub(crate) fn classify_reply(
+fn classify_reply(
     protocol: Protocol,
     prober_src: Addr,
     probe: &Packet,
@@ -197,7 +208,7 @@ const DEFAULT_IDENT: u16 = 0x7ace;
 /// vocabulary. A live prober has no such signal and leaves causes unset;
 /// the simulated prober is allowed to know, because the attribution only
 /// feeds metrics and degradation accounting, never the algorithms.
-pub(crate) fn silence_cause(reason: SilenceReason) -> TimeoutCause {
+fn silence_cause(reason: SilenceReason) -> TimeoutCause {
     match reason {
         SilenceReason::UnknownSource => TimeoutCause::UnknownSource,
         SilenceReason::NoRoute => TimeoutCause::NoRoute,
@@ -236,20 +247,20 @@ impl Prober for SimProber<'_> {
             }
             let probe = self.build_probe(dst, ttl, flow);
             self.stats.sent += 1;
-            let verdict = self.net.inject_bytes(&probe.encode());
+            // The injection's own tick, not `tick()` afterwards: other
+            // probers may have injected in between.
+            let (verdict, tick) = self.net.inject_bytes_ticked(&probe.encode());
+            if self.rtt > Duration::ZERO {
+                std::thread::sleep(self.rtt);
+            }
             (outcome, cause) = match verdict {
                 Verdict::Reply(reply) => {
-                    // Round-trip through wire bytes, as a raw socket would.
-                    let o = match Packet::decode(&reply.encode()) {
-                        Ok(r) => classify_reply(self.protocol, self.src, &probe, &r),
-                        Err(_) => ProbeOutcome::Timeout,
-                    };
+                    let o = classify_reply(self.protocol, self.src, &probe, &reply);
                     let c = (o == ProbeOutcome::Timeout).then_some(TimeoutCause::StrayReply);
                     (o, c)
                 }
                 Verdict::Silent(reason) => (ProbeOutcome::Timeout, Some(silence_cause(reason))),
             };
-            let tick = self.net.tick();
             self.recorder.record(|| {
                 let (kind, from) = outcome.observed();
                 ProbeEvent {
@@ -296,10 +307,10 @@ mod tests {
     #[test]
     fn icmp_probe_outcomes() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
-        let mut p = SimProber::new(&mut net, v);
+        let mut p = SimProber::new(&net, v);
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
         match p.probe(d, 1) {
             ProbeOutcome::TtlExceeded { from } => {
@@ -316,29 +327,29 @@ mod tests {
     #[test]
     fn udp_port_unreachable_counts_as_direct_reply() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
-        let mut p = SimProber::with_protocol(&mut net, v, Protocol::Udp);
+        let mut p = SimProber::with_protocol(&net, v, Protocol::Udp);
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
     }
 
     #[test]
     fn tcp_rst_counts_as_direct_reply() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
-        let mut p = SimProber::with_protocol(&mut net, v, Protocol::Tcp);
+        let mut p = SimProber::with_protocol(&net, v, Protocol::Tcp);
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
     }
 
     #[test]
     fn silence_is_retried_then_timeout() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
-        let mut p = SimProber::new(&mut net, v).retries(2);
+        let mut p = SimProber::new(&net, v).retries(2);
         // 99.0.0.1 is not routed: timeout after 3 attempts.
         assert_eq!(p.probe("99.0.0.1".parse().unwrap(), 64), ProbeOutcome::Timeout);
         let s = p.stats();
@@ -360,10 +371,10 @@ mod tests {
     #[test]
     fn stats_invariants_hold_across_mixed_outcomes() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
-        let mut p = SimProber::new(&mut net, v).retries(2);
+        let mut p = SimProber::new(&net, v).retries(2);
         let _ = p.probe(d, 64); // direct reply
         let _ = p.probe(d, 1); // ttl exceeded
         let _ = p.probe(d, 2); // ttl exceeded
@@ -377,24 +388,23 @@ mod tests {
     #[test]
     fn backoff_policy_idles_the_clock_between_retries() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let mut p =
-            SimProber::new(&mut net, v).retry_policy(RetryPolicy::Backoff { retries: 2, base: 10 });
+            SimProber::new(&net, v).retry_policy(RetryPolicy::Backoff { retries: 2, base: 10 });
         let _ = p.probe("99.0.0.1".parse().unwrap(), 64);
         // 3 injections plus 10 + 20 idle ticks of backoff.
-        assert_eq!(p.network().tick(), 3 + 10 + 20);
+        assert_eq!(net.tick(), 3 + 10 + 20);
         assert_eq!(p.stats().sent, 3);
     }
 
     #[test]
     fn adaptive_policy_widens_budget_under_timeouts() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let dead: Addr = "99.0.0.1".parse().unwrap();
-        let mut p =
-            SimProber::new(&mut net, v).retry_policy(RetryPolicy::Adaptive { min: 1, max: 4 });
+        let mut p = SimProber::new(&net, v).retry_policy(RetryPolicy::Adaptive { min: 1, max: 4 });
         // First probe: empty window, budget = min = 1 → 2 sends.
         let _ = p.probe(dead, 64);
         assert_eq!(p.stats().sent, 2);
@@ -429,7 +439,7 @@ mod tests {
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink));
-        let mut p = SimProber::new(&mut net, v).retries(1).recorder(recorder);
+        let mut p = SimProber::new(&net, v).retries(1).recorder(recorder);
         assert_eq!(p.probe(d, 64), ProbeOutcome::Timeout);
         let events = reader.events();
         assert_eq!(events.len(), 2);
@@ -462,7 +472,7 @@ mod tests {
         let mut plan = netsim::FaultPlan::new(seed);
         plan.reply_loss = 0.5;
         net.set_fault_plan(Some(plan));
-        let mut p = SimProber::new(&mut net, v).retries(1);
+        let mut p = SimProber::new(&net, v).retries(1);
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
         let s = p.stats();
         assert_eq!(s.retries, 1, "first attempt was lost");
@@ -476,7 +486,7 @@ mod tests {
         use std::sync::Arc;
 
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
+        let net = Network::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
         let sink = VecSink::new();
@@ -484,7 +494,7 @@ mod tests {
         let metrics = Arc::new(Registry::new());
         let recorder =
             Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&metrics));
-        let mut p = SimProber::new(&mut net, v).retries(1).recorder(recorder);
+        let mut p = SimProber::new(&net, v).retries(1).recorder(recorder);
 
         let _ = p.probe(d, 64);
         let _ = p.probe("99.0.0.1".parse().unwrap(), 64); // 2 attempts, both silent
@@ -499,10 +509,20 @@ mod tests {
     }
 
     #[test]
+    fn rtt_sleep_does_not_change_outcomes() {
+        let (topo, names) = samples::chain(1);
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage")).rtt(Duration::from_micros(50));
+        let d = names.addr("dest");
+        assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
+        assert_eq!(net.tick(), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "not an interface")]
     fn bogus_source_panics_early() {
         let (topo, _) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let _ = SimProber::new(&mut net, "203.0.113.99".parse().unwrap());
+        let net = Network::new(topo);
+        let _ = SimProber::new(&net, "203.0.113.99".parse().unwrap());
     }
 }

@@ -1,31 +1,32 @@
 //! The batch scheduler: N targets fanned across a worker pool over one
-//! shared network. Workers probe the engine's lock-free concurrent
-//! handle directly (`netsim::ConcurrentNetwork` via
-//! [`probe::SharedNetwork`]) — no global lock serializes the hot path.
+//! shared network. Every worker runs the same closure — one
+//! [`probe::SimProber`] and one tracenet session per target it claims —
+//! inline on the calling thread when `jobs == 1` and on scoped threads
+//! otherwise. Workers probe the engine through `&netsim::Network`, whose
+//! probing methods are lock-free, so no global lock serializes the hot
+//! path.
 //!
 //! Determinism contract: the result is assembled into **target order**
 //! regardless of which worker finished which session first, and every
 //! session's probe ident is a pure function of its target index (see
-//! [`crate::ident`]), so the collected output is independent of the
+//! [`probe::ident`]), so the collected output is independent of the
 //! thread count on any topology whose responses do not depend on probe
 //! interleaving (no rate limiting, no fluctuation). The conformance
 //! suite in `tests/conformance.rs` pins exactly that property.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use inet::Addr;
 use netsim::Network;
 use obs::Recorder;
 use parking_lot::Mutex;
-use probe::{Prober, Protocol, RetryPolicy, SharedNetwork, SimProber};
+use probe::{IdentAllocator, IdentBlock, IdentSpace, Prober, Protocol, RetryPolicy, SimProber};
 use tracenet::{Session, SubnetStore, TraceReport, TracenetOptions};
 
 use crate::cache::{CacheStats, SubnetCache};
-use crate::ident::{IdentAllocator, IdentBlock, IdentSpace};
 
 /// Configuration of one batch run.
 #[derive(Clone, Copy, Debug)]
@@ -44,9 +45,7 @@ pub struct BatchConfig {
     /// Modeled per-probe round-trip time. `Duration::ZERO` (the default)
     /// probes at simulator speed; a nonzero RTT blocks each wire send for
     /// that long, making the batch latency-bound — the regime where
-    /// `jobs` parallelism pays, as on the real Internet. Only the
-    /// concurrent path honors this; `run_batch_seq` always runs at
-    /// simulator speed.
+    /// `jobs` parallelism pays, as on the real Internet.
     pub probe_rtt: Duration,
 }
 
@@ -109,15 +108,10 @@ fn run_session<P: Prober>(
     })
 }
 
-fn finish(reports: Vec<TraceReport>, cache: Option<SubnetCache>) -> BatchResult {
-    let probes = reports.iter().map(|r| r.total_probes).sum();
-    BatchResult { probes, reports, cache: cache.map(|c| c.stats()).unwrap_or_default() }
-}
-
 /// Runs one tracenet session per target against a shared network,
 /// fanning the targets across `cfg.jobs` worker threads.
 pub fn run_batch(
-    net: &SharedNetwork,
+    net: &Network,
     vantage: Addr,
     targets: &[Addr],
     cfg: &BatchConfig,
@@ -129,82 +123,41 @@ pub fn run_batch(
     let block = IdentAllocator::new().block(IdentSpace::Tracenet, targets.len());
     let jobs = cfg.jobs.clamp(1, targets.len().max(1));
 
-    if jobs <= 1 {
-        let reports: Vec<TraceReport> = targets
-            .iter()
-            .enumerate()
-            .map(|(k, &target)| {
-                // Tag every event of this session with its target index,
-                // so multiplexed logs partition cleanly per target.
-                let recorder = recorder.clone().with_session(k as u64);
-                let prober = net
-                    .prober(vantage, cfg.protocol)
-                    .ident(block.get(k))
-                    .rtt(cfg.probe_rtt)
-                    .retry_policy(cfg.retry)
-                    .recorder(recorder.clone());
-                run_session(prober, target, cfg.opts, store.clone(), &recorder)
-            })
-            .collect();
-        return finish(reports, cache);
-    }
-
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, TraceReport)>> = Mutex::new(Vec::with_capacity(targets.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&target) = targets.get(k) else { break };
-                let recorder = recorder.clone().with_session(k as u64);
-                let prober = net
-                    .prober(vantage, cfg.protocol)
-                    .ident(block.get(k))
-                    .rtt(cfg.probe_rtt)
-                    .retry_policy(cfg.retry)
-                    .recorder(recorder.clone());
-                let report = run_session(prober, target, cfg.opts, store.clone(), &recorder);
-                done.lock().push((k, report));
-            });
-        }
-    });
+    let worker = || loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&target) = targets.get(k) else { break };
+        // Tag every event of this session with its target index, so
+        // multiplexed logs partition cleanly per target.
+        let recorder = recorder.clone().with_session(k as u64);
+        let prober = SimProber::with_protocol(net, vantage, cfg.protocol)
+            .ident(block.get(k))
+            .rtt(cfg.probe_rtt)
+            .retry_policy(cfg.retry)
+            .recorder(recorder.clone());
+        let report = run_session(prober, target, cfg.opts, store.clone(), &recorder);
+        done.lock().push((k, report));
+    };
+    if jobs == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(worker);
+            }
+        });
+    }
 
     // Deterministic merge: place every report at its target index.
     let mut slots: Vec<Option<TraceReport>> = targets.iter().map(|_| None).collect();
     for (k, report) in done.into_inner() {
         slots[k] = Some(report);
     }
-    let reports = slots.into_iter().map(|r| r.expect("one report per target")).collect();
-    finish(reports, cache)
-}
-
-/// The sequential engine over an exclusively borrowed network: the same
-/// per-session pipeline (allocator idents, optional cache) without the
-/// mutex. `evalkit::run::run_tracenet_with` delegates here.
-pub fn run_batch_seq(
-    net: &mut Network,
-    vantage: Addr,
-    targets: &[Addr],
-    cfg: &BatchConfig,
-    recorder: &Recorder,
-) -> BatchResult {
-    let cache = cfg.use_cache.then(SubnetCache::new);
-    let store: Option<Arc<dyn SubnetStore>> =
-        cache.clone().map(|c| Arc::new(c) as Arc<dyn SubnetStore>);
-    let block = IdentAllocator::new().block(IdentSpace::Tracenet, targets.len());
-    let reports: Vec<TraceReport> = targets
-        .iter()
-        .enumerate()
-        .map(|(k, &target)| {
-            let recorder = recorder.clone().with_session(k as u64);
-            let prober = SimProber::with_protocol(net, vantage, cfg.protocol)
-                .ident(block.get(k))
-                .retry_policy(cfg.retry)
-                .recorder(recorder.clone());
-            run_session(prober, target, cfg.opts, store.clone(), &recorder)
-        })
-        .collect();
-    finish(reports, cache)
+    let reports: Vec<TraceReport> =
+        slots.into_iter().map(|r| r.expect("one report per target")).collect();
+    let probes = reports.iter().map(|r| r.total_probes).sum();
+    BatchResult { probes, reports, cache: cache.map(|c| c.stats()).unwrap_or_default() }
 }
 
 /// Idents reserved for a traceroute baseline over `len` targets, from the
@@ -219,17 +172,17 @@ mod tests {
     use super::*;
     use netsim::samples;
 
-    fn chain_net() -> (SharedNetwork, samples::Names) {
+    fn chain_net() -> (Network, samples::Names) {
         let (topo, names) = samples::chain(3);
-        (SharedNetwork::new(Network::new(topo)), names)
+        (Network::new(topo), names)
     }
 
     #[test]
     fn batch_over_one_target_matches_a_plain_session() {
-        let (shared, names) = chain_net();
+        let (net, names) = chain_net();
         let cfg = BatchConfig::default();
         let result = run_batch(
-            &shared,
+            &net,
             names.addr("vantage"),
             &[names.addr("dest")],
             &cfg,
@@ -243,11 +196,11 @@ mod tests {
 
     #[test]
     fn repeating_a_target_hits_the_cache() {
-        let (shared, names) = chain_net();
+        let (net, names) = chain_net();
         let dest = names.addr("dest");
         let cfg = BatchConfig::default();
         let result =
-            run_batch(&shared, names.addr("vantage"), &[dest, dest], &cfg, &Recorder::disabled());
+            run_batch(&net, names.addr("vantage"), &[dest, dest], &cfg, &Recorder::disabled());
         assert!(result.cache.hits > 0, "the second session reuses the first's subnets");
         assert!(
             result.reports[1].total_probes < result.reports[0].total_probes,
@@ -262,11 +215,11 @@ mod tests {
 
     #[test]
     fn disabled_cache_reports_zero_stats() {
-        let (shared, names) = chain_net();
+        let (net, names) = chain_net();
         let dest = names.addr("dest");
         let cfg = BatchConfig { use_cache: false, ..BatchConfig::default() };
         let result =
-            run_batch(&shared, names.addr("vantage"), &[dest, dest], &cfg, &Recorder::disabled());
+            run_batch(&net, names.addr("vantage"), &[dest, dest], &cfg, &Recorder::disabled());
         assert_eq!(result.cache, CacheStats::default());
         assert_eq!(result.reports[0].total_probes, result.reports[1].total_probes);
     }
@@ -274,12 +227,11 @@ mod tests {
     #[test]
     fn worker_pool_preserves_target_order() {
         let (topo, names) = samples::figure3();
-        let shared = SharedNetwork::new(Network::new(topo));
+        let net = Network::new(topo);
         let targets =
             [names.addr("dest"), names.addr("R5.n"), names.addr("dest"), names.addr("R5.n")];
         let cfg = BatchConfig { jobs: 4, ..BatchConfig::default() };
-        let result =
-            run_batch(&shared, names.addr("vantage"), &targets, &cfg, &Recorder::disabled());
+        let result = run_batch(&net, names.addr("vantage"), &targets, &cfg, &Recorder::disabled());
         assert_eq!(result.reports.len(), targets.len());
         for (report, &target) in result.reports.iter().zip(&targets) {
             assert_eq!(report.destination, target, "report k belongs to target k");
@@ -329,11 +281,11 @@ mod tests {
 
     #[test]
     fn healthy_batch_reports_are_never_aborted() {
-        let (shared, names) = chain_net();
+        let (net, names) = chain_net();
         let dest = names.addr("dest");
         let cfg = BatchConfig { jobs: 4, ..BatchConfig::default() };
         let result = run_batch(
-            &shared,
+            &net,
             names.addr("vantage"),
             &[dest, dest, dest, dest],
             &cfg,
@@ -350,14 +302,14 @@ mod tests {
     fn concurrent_batch_events_partition_cleanly_by_session() {
         use obs::{Cause, Recorder, SinkHandle, VecSink};
         let (topo, names) = samples::figure3();
-        let shared = SharedNetwork::new(Network::new(topo));
+        let net = Network::new(topo);
         let targets: Vec<Addr> =
             std::iter::repeat_n([names.addr("dest"), names.addr("R5.n")], 4).flatten().collect();
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink));
         let cfg = BatchConfig { jobs: 8, ..BatchConfig::default() };
-        let result = run_batch(&shared, names.addr("vantage"), &targets, &cfg, &recorder);
+        let result = run_batch(&net, names.addr("vantage"), &targets, &cfg, &recorder);
         assert_eq!(result.reports.len(), targets.len());
 
         let events = reader.events();
@@ -382,9 +334,9 @@ mod tests {
 
     #[test]
     fn empty_target_list_is_fine() {
-        let (shared, names) = chain_net();
+        let (net, names) = chain_net();
         let result = run_batch(
-            &shared,
+            &net,
             names.addr("vantage"),
             &[],
             &BatchConfig::default(),

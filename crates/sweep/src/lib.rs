@@ -12,7 +12,7 @@
 //! - a worker-pool scheduler ([`run_batch`]) that fans targets across
 //!   threads over one shared network, with results merged in target
 //!   order and probe idents drawn from disjoint namespaces
-//!   ([`IdentSpace`]) as a pure function of the target index.
+//!   ([`probe::IdentSpace`]) as a pure function of the target index.
 //!
 //! The engine is *proven observation-equivalent, not assumed*: the
 //! conformance suite (`tests/conformance.rs`) pins that batch runs at
@@ -24,8 +24,6 @@
 
 pub mod cache;
 pub mod engine;
-pub mod ident;
 
 pub use cache::{CacheStats, SubnetCache};
-pub use engine::{run_batch, run_batch_seq, traceroute_idents, BatchConfig, BatchResult};
-pub use ident::{IdentAllocator, IdentBlock, IdentSpace};
+pub use engine::{run_batch, traceroute_idents, BatchConfig, BatchResult};

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use inet::Addr;
 use netsim::{FaultPlan, FaultProfile, Network};
 use obs::Recorder;
-use probe::{Protocol, SharedNetwork, SimProber};
+use probe::{Protocol, SimProber};
 use sweep::{run_batch, BatchConfig, BatchResult, SubnetCache};
 use topogen::Scenario;
 use tracenet::{Completeness, Session, SubnetStore, TraceReport, TracenetOptions};
@@ -61,10 +61,9 @@ fn run_with_plan(
 ) -> BatchResult {
     let mut net = Network::new(sc.topology.clone());
     net.set_fault_plan(plan);
-    let shared = SharedNetwork::new(net);
     let targets: Vec<Addr> = sc.targets.iter().copied().take(cap).collect();
     let cfg = BatchConfig { jobs, use_cache, opts, ..BatchConfig::default() };
-    run_batch(&shared, sc.vantage(vantage_name(sc)), &targets, &cfg, &Recorder::disabled())
+    run_batch(&net, sc.vantage(vantage_name(sc)), &targets, &cfg, &Recorder::disabled())
 }
 
 fn discovered(result: &BatchResult) -> BTreeSet<Addr> {
@@ -172,8 +171,7 @@ fn degraded_observations_never_reach_a_fault_free_session() {
     net.set_fault_plan(Some(FaultProfile::HeavyLoss.plan(fault_seed())));
     let mut saw_degraded = false;
     for (k, &target) in targets.iter().enumerate() {
-        let mut prober =
-            SimProber::with_protocol(&mut net, vantage, Protocol::Icmp).ident(k as u16);
+        let mut prober = SimProber::with_protocol(&net, vantage, Protocol::Icmp).ident(k as u16);
         let report = Session::new(&mut prober, chaos_opts())
             .with_subnet_store(Arc::clone(&store))
             .run(target);
@@ -185,13 +183,13 @@ fn degraded_observations_never_reach_a_fault_free_session() {
     // observation-identical to a storeless fault-free pass — any degraded
     // entry replayed from the store would surface as a divergence.
     let session_reports = |store: Option<Arc<dyn SubnetStore>>| -> Vec<TraceReport> {
-        let mut net = Network::new(sc.topology.clone());
+        let net = Network::new(sc.topology.clone());
         targets
             .iter()
             .enumerate()
             .map(|(k, &target)| {
-                let mut prober = SimProber::with_protocol(&mut net, vantage, Protocol::Icmp)
-                    .ident(100 + k as u16);
+                let mut prober =
+                    SimProber::with_protocol(&net, vantage, Protocol::Icmp).ident(100 + k as u16);
                 let mut session = Session::new(&mut prober, TracenetOptions::default());
                 if let Some(s) = &store {
                     session = session.with_subnet_store(Arc::clone(s));

@@ -18,7 +18,7 @@ use evalkit::{classify, CollectedSet, MatchClass};
 use inet::{Addr, Prefix};
 use netsim::Network;
 use obs::Recorder;
-use probe::{Prober, Protocol, SharedNetwork, SimProber};
+use probe::{Prober, Protocol, SimProber};
 use sweep::BatchConfig;
 use topogen::Scenario;
 use tracenet::{Session, TracenetOptions};
@@ -53,12 +53,11 @@ fn fingerprint(sc: &Scenario, set: &CollectedSet) -> Fingerprint {
 /// The golden baseline: one hand-built session per target, fresh
 /// network, no engine code involved.
 fn golden(sc: &Scenario, targets: &[Addr]) -> CollectedSet {
-    let mut net = Network::new(sc.topology.clone());
+    let net = Network::new(sc.topology.clone());
     let vantage = sc.vantage(vantage_name(sc));
     let mut out = CollectedSet::default();
     for (k, &target) in targets.iter().enumerate() {
-        let mut prober =
-            SimProber::with_protocol(&mut net, vantage, Protocol::Icmp).ident(k as u16);
+        let mut prober = SimProber::with_protocol(&net, vantage, Protocol::Icmp).ident(k as u16);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(target);
         out.probes += prober.stats().sent;
         out.add_report(&report);
@@ -90,10 +89,10 @@ fn conform(sc: &Scenario, cap: usize) -> bool {
     for jobs in [1usize, 4, 8] {
         let mut uncached_probes = None;
         for use_cache in [false, true] {
-            let shared = SharedNetwork::new(Network::new(sc.topology.clone()));
+            let net = Network::new(sc.topology.clone());
             let cfg = BatchConfig { jobs, use_cache, ..BatchConfig::default() };
             let (set, stats) = evalkit::run::run_tracenet_batch(
-                &shared,
+                &net,
                 sc.vantage(vantage_name(sc)),
                 &targets,
                 &cfg,
@@ -155,10 +154,10 @@ fn cached_collection_keeps_accuracy_on_internet2() {
     // still collects a majority of evaluated subnets exactly.
     let sc = topogen::internet2(11);
     let targets = targets_of(&sc, 40);
-    let shared = SharedNetwork::new(Network::new(sc.topology.clone()));
+    let net = Network::new(sc.topology.clone());
     let cfg = BatchConfig { jobs: 8, ..BatchConfig::default() };
     let (set, stats) = evalkit::run::run_tracenet_batch(
-        &shared,
+        &net,
         sc.vantage("utdallas"),
         &targets,
         &cfg,

@@ -341,8 +341,8 @@ mod tests {
         // The reloaded network answers probes identically.
         let v = a.vantage("utdallas");
         let t = a.targets[0];
-        let mut na = Network::new(a.topology.clone());
-        let mut nb = Network::new(b.topology.clone());
+        let na = Network::new(a.topology.clone());
+        let nb = Network::new(b.topology.clone());
         for ttl in 1..8 {
             let probe = wire::builder::icmp_probe(v, t, ttl, 1, ttl as u16);
             assert_eq!(na.inject(&probe), nb.inject(&probe), "ttl {ttl}");

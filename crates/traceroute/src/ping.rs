@@ -65,8 +65,8 @@ mod tests {
     #[test]
     fn alive_and_dead_addresses() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage"));
         let alive = ping(&mut p, names.addr("dest"), 3);
         assert!(alive.alive());
         assert_eq!(alive.received, 3);
@@ -88,8 +88,8 @@ mod sweep_tests {
     #[test]
     fn sweep_finds_exactly_the_alive_range() {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage"));
         // The paper's subnet S: members .1-.4 of 10.0.2.0/29.
         let alive = ping_sweep(&mut p, "10.0.2.0/29".parse().unwrap());
         let got: Vec<String> = alive.iter().map(|a| a.to_string()).collect();
@@ -99,8 +99,8 @@ mod sweep_tests {
     #[test]
     fn sweep_of_dead_space_is_empty() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage"));
         assert!(ping_sweep(&mut p, "99.0.0.0/29".parse().unwrap()).is_empty());
     }
 }

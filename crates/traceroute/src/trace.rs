@@ -146,13 +146,13 @@ pub fn traceroute<P: Prober>(
 mod tests {
     use super::*;
     use netsim::{samples, Network};
-    use probe::{FlowMode, SimProber};
+    use probe::{FlowMode, Protocol, SharedNetwork, SimProber};
 
     #[test]
     fn chain_trace_lists_one_router_per_hop() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage"));
         let report = traceroute(&mut p, names.addr("dest"), TracerouteOptions::default());
         assert!(report.destination_reached);
         assert_eq!(report.hops.len(), 4);
@@ -168,24 +168,40 @@ mod tests {
         // Classic UDP-style probing varies the flow per probe; over the
         // ECMP diamond the middle hop shows both branch routers.
         let (topo, names) = samples::diamond();
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage")).flow_mode(FlowMode::Classic);
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage")).flow_mode(FlowMode::Classic);
         let mut opts = TracerouteOptions { probes_per_hop: 8, ..TracerouteOptions::default() };
         let classic = traceroute(&mut p, names.addr("dest"), opts);
         let mid = &classic.hops[1];
         assert_eq!(mid.addresses().len(), 2, "classic probing straddles the diamond");
 
-        let mut p = SimProber::new(&mut net, names.addr("vantage")).flow_mode(FlowMode::Classic);
+        let mut p = SimProber::new(&net, names.addr("vantage")).flow_mode(FlowMode::Classic);
         opts.paris = true;
         let paris = traceroute(&mut p, names.addr("dest"), opts);
         assert_eq!(paris.hops[1].addresses().len(), 1, "paris pins one path");
     }
 
     #[test]
+    fn shared_network_probers_honour_the_flow_mode() {
+        // Probers handed out by a SharedNetwork take the same flow mode
+        // as any SimProber: classic fans a flow-varying trace over both
+        // diamond branches at TTL 2, Paris pins it to one.
+        let (topo, names) = samples::diamond();
+        let shared = SharedNetwork::new(Network::new(topo));
+        let opts = TracerouteOptions { probes_per_hop: 8, ..TracerouteOptions::default() };
+        let branches = |mode| {
+            let mut p = shared.prober(names.addr("vantage"), Protocol::Icmp).flow_mode(mode);
+            traceroute(&mut p, names.addr("dest"), opts).hops[1].addresses().len()
+        };
+        assert!(branches(FlowMode::Classic) > 1, "classic probing straddles the diamond");
+        assert_eq!(branches(FlowMode::Paris), 1, "paris pins one path");
+    }
+
+    #[test]
     fn unreachable_target_fills_max_ttl_with_stars() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage"));
         let opts = TracerouteOptions { max_ttl: 5, ..TracerouteOptions::default() };
         let report = traceroute(&mut p, "99.9.9.9".parse().unwrap(), opts);
         assert!(!report.destination_reached);
@@ -198,8 +214,8 @@ mod tests {
     #[test]
     fn addresses_with_hops_pairs_each_address_with_its_ttl() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = Network::new(topo);
+        let mut p = SimProber::new(&net, names.addr("vantage"));
         let report = traceroute(&mut p, names.addr("dest"), TracerouteOptions::default());
         let pairs = report.addresses_with_hops();
         assert_eq!(pairs.len(), 3);

@@ -26,14 +26,9 @@ fn main() {
     );
 
     let vantage = scenario.vantage("utdallas");
-    let mut net = Network::new(scenario.topology.clone());
-    let collected = run_tracenet(
-        &mut net,
-        vantage,
-        &scenario.targets,
-        Protocol::Icmp,
-        &TracenetOptions::default(),
-    );
+    let net = Network::new(scenario.topology.clone());
+    let collected =
+        run_tracenet(&net, vantage, &scenario.targets, Protocol::Icmp, &TracenetOptions::default());
     println!(
         "collected {} subnets with {} probes over {} sessions\n",
         collected.prefixes().len(),

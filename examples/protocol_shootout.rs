@@ -29,10 +29,10 @@ fn main() {
     let rice = scenario.vantage("rice");
 
     println!("{:>6} {:>9} {:>10} {:>8}", "proto", "subnets", "addresses", "probes");
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     for proto in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp] {
         let collected =
-            run_tracenet(&mut net, rice, &scenario.targets, proto, &TracenetOptions::default());
+            run_tracenet(&net, rice, &scenario.targets, proto, &TracenetOptions::default());
         println!(
             "{:>6} {:>9} {:>10} {:>8}",
             format!("{proto:?}"),

@@ -16,8 +16,8 @@ use tracenet::{Session, TraceReport, TracenetOptions};
 /// Runs one tracenet session with default options over a fresh network —
 /// the three lines every example starts with.
 pub fn trace_once(topology: Topology, vantage: Addr, destination: Addr) -> TraceReport {
-    let mut net = Network::new(topology);
-    let mut prober = SimProber::new(&mut net, vantage);
+    let net = Network::new(topology);
+    let mut prober = SimProber::new(&net, vantage);
     Session::new(&mut prober, TracenetOptions::default()).run(destination)
 }
 

@@ -10,19 +10,20 @@ use topogen::{geant, internet2, GtSubnet};
 use tracenet::TracenetOptions;
 use tracenet_suite::trace_once;
 
-fn accuracy_table(scenario: topogen::Scenario) -> SubnetTable {
+/// Runs the paper's collection over `scenario`: the accuracy table and
+/// the wire probes spent.
+fn collect(scenario: topogen::Scenario) -> (SubnetTable, u64) {
     let network = scenario.name.clone();
     let vantage = scenario.vantages[0].1;
     let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
-    let mut net = Network::new(scenario.topology.clone());
-    let collected = run_tracenet(
-        &mut net,
-        vantage,
-        &scenario.targets,
-        Protocol::Icmp,
-        &TracenetOptions::default(),
-    );
-    SubnetTable::build(&classify(&gt, &collected.records()))
+    let net = Network::new(scenario.topology.clone());
+    let collected =
+        run_tracenet(&net, vantage, &scenario.targets, Protocol::Icmp, &TracenetOptions::default());
+    (SubnetTable::build(&classify(&gt, &collected.records())), collected.probes)
+}
+
+fn accuracy_table(scenario: topogen::Scenario) -> SubnetTable {
+    collect(scenario).0
 }
 
 /// Table 1's headline: ~73.7% exact including unresponsive subnets,
@@ -37,6 +38,31 @@ fn internet2_exact_match_rates_hold() {
     // The paper's Table 1 has (almost) no overestimated/merged subnets.
     assert!(table.row_total("ovres") + table.row_total("merg") <= 5);
     assert_eq!(table.row_total("orgl"), 179);
+}
+
+/// The Internet2 collection at seed 2010 is pinned exactly: the probe
+/// spend and every cell of Table 1. Any drift in the engine, the prober,
+/// the batch loop or the heuristics shows up here.
+#[test]
+fn internet2_collection_is_pinned() {
+    let (table, probes) = collect(internet2(2010));
+    assert_eq!(probes, 11_402);
+    let lens = [24, 25, 27, 28, 29, 30, 31];
+    let want: [(&str, [usize; 7]); 9] = [
+        ("orgl", [6, 1, 2, 26, 20, 101, 23]),
+        ("exmt", [0, 0, 0, 2, 16, 91, 22]),
+        ("miss", [0; 7]),
+        ("miss\\unrs", [5, 1, 2, 3, 4, 8, 1]),
+        ("undes", [0; 7]),
+        ("undes\\unrs", [1, 0, 0, 21, 0, 0, 0]),
+        ("ovres", [0; 7]),
+        ("splt", [0; 7]),
+        ("merg", [0, 0, 0, 0, 0, 2, 0]),
+    ];
+    for (row, counts) in want {
+        let got: Vec<usize> = lens.iter().map(|&len| table.get(row, len)).collect();
+        assert_eq!(got, counts, "row {row}");
+    }
 }
 
 /// Table 2's headline: ~53.5% / ~97.3%, dominated by unresponsive
@@ -75,15 +101,15 @@ fn tracenet_beats_traceroute_on_address_discovery() {
     let scenario = internet2(7);
     let vantage = scenario.vantages[0].1;
     let targets: Vec<_> = scenario.targets.iter().copied().take(25).collect();
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     let (_, tr_addrs, _) = run_traceroute(
-        &mut net,
+        &net,
         vantage,
         &targets,
         Protocol::Icmp,
         &traceroute::TracerouteOptions::default(),
     );
-    let tn = run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+    let tn = run_tracenet(&net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
     assert!(
         tn.addresses().len() as f64 >= 1.5 * tr_addrs.len() as f64,
         "tracenet {} vs traceroute {}",
@@ -99,9 +125,9 @@ fn tracenet_beats_traceroute_on_address_discovery() {
 fn probe_budget_within_paper_bound() {
     let scenario = internet2(11);
     let vantage = scenario.vantages[0].1;
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     for &target in scenario.targets.iter().take(40) {
-        let mut prober = probe::SimProber::new(&mut net, vantage);
+        let mut prober = probe::SimProber::new(&net, vantage);
         let report = tracenet::Session::new(&mut prober, TracenetOptions::default()).run(target);
         for hop in &report.hops {
             if let Some(s) = &hop.subnet {
@@ -142,9 +168,9 @@ fn protocol_ordering_holds() {
 
     let mut counts = Vec::new();
     for proto in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp] {
-        let mut net = Network::new(topo.clone());
+        let net = Network::new(topo.clone());
         let set = run_tracenet(
-            &mut net,
+            &net,
             mk("10.0.0.0"),
             &[mk("10.0.0.3")],
             proto,

@@ -23,7 +23,7 @@ fn pocket_internet(seed: u64) -> topogen::Scenario {
     isp_internet_with(IspInternetSpec { seed, isps, targets_per_isp: 60, target_coverage: 0.6 })
 }
 
-/// Three vantages over one shared (mutex-protected) network, interleaved
+/// Three vantages over one shared network, interleaved
 /// sessions: everything stays consistent and the Venn partition is
 /// well-formed.
 #[test]
@@ -60,7 +60,7 @@ fn three_vantages_share_one_internet() {
 #[test]
 fn scoped_acls_shape_per_vantage_visibility() {
     let scenario = pocket_internet(4);
-    let mut net = Network::new(scenario.topology.clone());
+    let net = Network::new(scenario.topology.clone());
     for (vn, vaddr) in scenario.vantages.clone() {
         let blocked: BTreeSet<Prefix> = scenario
             .topology
@@ -70,7 +70,7 @@ fn scoped_acls_shape_per_vantage_visibility() {
             .map(|s| s.prefix)
             .collect();
         let collected = evalkit::run::run_tracenet(
-            &mut net,
+            &net,
             vaddr,
             &scenario.targets,
             Protocol::Icmp,

@@ -27,10 +27,10 @@ proptest! {
     fn collected_subnets_are_sound(seed in 0u64..40) {
         let scenario = random_topology(seed, 6);
         let vantage = scenario.vantage("vantage");
-        let mut net = Network::new(scenario.topology.clone());
+        let net = Network::new(scenario.topology.clone());
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(12).collect();
         let collected =
-            run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+            run_tracenet(&net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
 
         for addr in collected.addresses() {
             prop_assert!(
@@ -61,10 +61,10 @@ proptest! {
         let vantage = scenario.vantage("vantage");
         let routing = RoutingTable::compute(&scenario.topology);
         let v_owner = scenario.topology.owner_of(vantage).expect("vantage owner");
-        let mut net = Network::new(scenario.topology.clone());
+        let net = Network::new(scenario.topology.clone());
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(12).collect();
         let collected =
-            run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+            run_tracenet(&net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
 
         for rec in collected.records() {
             let dists: Vec<u16> = rec
@@ -93,9 +93,9 @@ proptest! {
         let vantage = scenario.vantage("vantage");
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(8).collect();
         let run = || {
-            let mut net = Network::new(scenario.topology.clone());
+            let net = Network::new(scenario.topology.clone());
             let c = run_tracenet(
-                &mut net,
+                &net,
                 vantage,
                 &targets,
                 Protocol::Icmp,
@@ -117,9 +117,9 @@ proptest! {
         let scenario = random_topology(seed, 4);
         let vantage = scenario.vantage("vantage");
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(8).collect();
-        let mut net = Network::new(scenario.topology.clone());
+        let net = Network::new(scenario.topology.clone());
         let collected =
-            run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+            run_tracenet(&net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
         let sub = collected.subnetized_addresses(None);
         let unsub = collected.unsubnetized_addresses(None);
         prop_assert!(sub.intersection(&unsub).next().is_none(), "overlap");
@@ -138,9 +138,9 @@ fn exactness_dominates_across_seeds() {
     for seed in 0..6u64 {
         let scenario = random_topology(seed, 6);
         let vantage = scenario.vantage("vantage");
-        let mut net = Network::new(scenario.topology.clone());
+        let net = Network::new(scenario.topology.clone());
         let collected = run_tracenet(
-            &mut net,
+            &net,
             vantage,
             &scenario.targets,
             Protocol::Icmp,

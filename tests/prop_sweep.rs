@@ -7,11 +7,11 @@ use evalkit::run::run_tracenet_batch;
 use evalkit::CollectedSet;
 use inet::{Addr, Prefix};
 use netsim::{FaultPlan, Network};
-use probe::{Prober, RetryPolicy, SharedNetwork, SimProber};
+use probe::{Prober, RetryPolicy, SimProber};
 use proptest::prelude::*;
 use sweep::BatchConfig;
 use topogen::random_topology;
-use tracenet::TracenetOptions;
+use tracenet::{Session, TraceReport, TracenetOptions};
 
 fn collect(
     scenario: &topogen::Scenario,
@@ -29,14 +29,7 @@ fn collect_with_plan(
 ) -> (CollectedSet, sweep::CacheStats) {
     let mut net = Network::new(scenario.topology.clone());
     net.set_fault_plan(plan);
-    let shared = SharedNetwork::new(net);
-    run_tracenet_batch(
-        &shared,
-        scenario.vantage("vantage"),
-        targets,
-        cfg,
-        &obs::Recorder::disabled(),
-    )
+    run_tracenet_batch(&net, scenario.vantage("vantage"), targets, cfg, &obs::Recorder::disabled())
 }
 
 /// A moderate seeded fault plan for the robustness properties.
@@ -175,7 +168,7 @@ proptest! {
         if faulty {
             net.set_fault_plan(Some(plan_from(seed)));
         }
-        let mut prober = SimProber::new(&mut net, scenario.vantage("vantage"))
+        let mut prober = SimProber::new(&net, scenario.vantage("vantage"))
             .retry_policy(policies[policy_idx]);
         for &target in scenario.targets.iter().take(6) {
             for ttl in 1..=6u8 {
@@ -198,10 +191,10 @@ proptest! {
         }
     }
 
-    /// The jobs=1 identity contract of the concurrent engine refactor:
-    /// a single-job `run_batch` over the lock-free shared handle renders
+    /// The jobs=1 identity contract: a single-job `run_batch` renders
     /// byte-identical reports (and records a byte-identical probe-event
-    /// stream) to `run_batch_seq` over the classic exclusive engine, on
+    /// stream) to a plain session-per-target loop over `SimProber` — the
+    /// conformance suite's reference, with the batch's session tags — on
     /// random topologies with and without a fault plan.
     #[test]
     fn single_job_batch_is_byte_identical_to_the_sequential_engine(
@@ -220,31 +213,38 @@ proptest! {
 
         let seq_sink = obs::VecSink::new();
         let seq_reader = seq_sink.clone();
+        let recorder = obs::Recorder::new().with_sink(obs::SinkHandle::new(seq_sink));
         let mut net = Network::new(scenario.topology.clone());
         net.set_fault_plan(plan);
-        let seq = sweep::run_batch_seq(
-            &mut net,
-            vantage,
-            &targets,
-            &cfg,
-            &obs::Recorder::new().with_sink(obs::SinkHandle::new(seq_sink)),
-        );
+        let seq: Vec<TraceReport> = targets
+            .iter()
+            .enumerate()
+            .map(|(k, &target)| {
+                let recorder = recorder.clone().with_session(k as u64);
+                let mut prober = SimProber::new(&net, vantage)
+                    .ident(k as u16)
+                    .retry_policy(cfg.retry)
+                    .recorder(recorder.clone());
+                Session::new(&mut prober, cfg.opts).with_recorder(recorder).run(target)
+            })
+            .collect();
 
         let par_sink = obs::VecSink::new();
         let par_reader = par_sink.clone();
         let mut net = Network::new(scenario.topology.clone());
         net.set_fault_plan(plan);
-        let shared = SharedNetwork::new(net);
         let par = sweep::run_batch(
-            &shared,
+            &net,
             vantage,
             &targets,
             &cfg,
             &obs::Recorder::new().with_sink(obs::SinkHandle::new(par_sink)),
         );
 
-        prop_assert_eq!(seq.probes, par.probes, "seed {}", seed);
-        for (k, (a, b)) in seq.reports.iter().zip(&par.reports).enumerate() {
+        let seq_probes: u64 = seq.iter().map(|r| r.total_probes).sum();
+        prop_assert_eq!(seq_probes, par.probes, "seed {}", seed);
+        prop_assert_eq!(seq.len(), par.reports.len(), "seed {}", seed);
+        for (k, (a, b)) in seq.iter().zip(&par.reports).enumerate() {
             prop_assert_eq!(
                 format!("{a:?}"), format!("{b:?}"),
                 "seed {}: target {} diverged", seed, k

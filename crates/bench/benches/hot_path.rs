@@ -1,12 +1,23 @@
-//! Criterion microbenches for the lock-free probe hot path: the
-//! precomputed ECMP `next_hops` lookup (now a bounds-checked slice into
-//! an arena, no per-call allocation) and `inject` through the shared
-//! engine.
+//! Criterion microbenches for the probe hot path: the ECMP `next_hops`
+//! sets the walk derives per hop from the router adjacency and the
+//! destination's distance row, and `inject` through the shared engine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use netsim::{Network, RoutingTable};
-use topogen::internet2;
+use netsim::{Network, RouterId, RoutingTable, Topology};
+use topogen::{internet2, isp_internet};
 use wire::builder::icmp_probe;
+
+/// Sums the ECMP set sizes over every (from, to) pair.
+fn all_pairs_next_hops(routing: &RoutingTable, topo: &Topology) -> usize {
+    let n = topo.router_count() as u32;
+    let mut total = 0usize;
+    for from in 0..n {
+        for to in 0..n {
+            total += routing.next_hops(RouterId(from), RouterId(to)).count();
+        }
+    }
+    total
+}
 
 fn bench_hot_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("hot_path");
@@ -15,20 +26,17 @@ fn bench_hot_path(c: &mut Criterion) {
     let scenario = internet2(7);
     let topo = scenario.topology.clone();
     let routing = RoutingTable::compute(&topo);
-    let n = topo.router_count() as u32;
 
-    // The per-hop routing lookup, swept over every (from, to) pair —
-    // pre-refactor this allocated and sorted a Vec per call.
+    // The per-hop routing lookup, swept over every (from, to) pair.
     g.bench_function("next_hops_all_pairs", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for from in 0..n {
-                for to in 0..n {
-                    total += routing.next_hops(netsim::RouterId(from), netsim::RouterId(to)).len();
-                }
-            }
-            black_box(total)
-        })
+        b.iter(|| black_box(all_pairs_next_hops(&routing, &topo)))
+    });
+    // The ISP internet's multi-access /20-/22 LANs give routers dozens
+    // of neighbors, each of which a derived next-hop set scans.
+    let isp = isp_internet(2010).topology;
+    let isp_routing = RoutingTable::compute(&isp);
+    g.bench_function("next_hops_all_pairs_isp", |b| {
+        b.iter(|| black_box(all_pairs_next_hops(&isp_routing, &isp)))
     });
 
     // Full injections through the shared engine (walk + reply build),

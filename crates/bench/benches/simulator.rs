@@ -3,14 +3,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use netsim::{Network, RoutingTable};
-use topogen::{internet2, random_topology};
+use topogen::{internet2, isp_internet, random_topology};
 use wire::builder::icmp_probe;
 
 fn bench_simulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     g.sample_size(20);
 
-    // Routing construction at two scales.
+    // Routing construction at three scales.
     let small = random_topology(1, 8);
     g.bench_function("routing_bfs_small", |b| {
         b.iter(|| RoutingTable::compute(black_box(&small.topology)))
@@ -19,6 +19,10 @@ fn bench_simulator(c: &mut Criterion) {
     g.bench_function("routing_bfs_internet2", |b| {
         b.iter(|| RoutingTable::compute(black_box(&i2.topology)))
     });
+    // The ISP internet: 1,166 routers, with multi-access LANs of up to
+    // 74 routers and thousands of interfaces.
+    let isp = isp_internet(2010);
+    g.bench_function("routing_isp", |b| b.iter(|| RoutingTable::compute(black_box(&isp.topology))));
 
     // Per-packet walk cost: direct probe to the farthest target.
     let scenario = internet2(7);

@@ -133,8 +133,9 @@ pub struct Network {
 pub type ConcurrentNetwork = Network;
 
 impl Network {
-    /// Builds a network over a validated topology (computes routing,
-    /// including the precomputed ECMP next-hop arena).
+    /// Builds a network over a validated topology (computes routing:
+    /// the router adjacency and the all-pairs distance matrix that ECMP
+    /// next hops are derived from per hop).
     pub fn new(topo: Topology) -> Network {
         let routing = RoutingTable::compute(&topo);
         let n = topo.router_count();
@@ -307,17 +308,15 @@ impl Network {
         let dst = probe.header.dst;
 
         // Resolve the routing target.
-        let (target_router, assigned_iface) = match self.topo.iface_by_addr(dst) {
-            Some(ifid) => (Some(self.topo.iface(ifid).router), Some(ifid)),
-            None => (None, None),
-        };
+        let assigned_iface = self.topo.iface_by_addr(dst);
+        let target_router = assigned_iface.map(|ifid| self.topo.iface(ifid).router);
         let dst_subnet = match assigned_iface {
-            Some(ifid) => Some(self.topo.iface(ifid).subnet),
-            None => self.topo.subnet_containing(dst),
+            Some(ifid) => self.topo.iface(ifid).subnet,
+            None => match self.topo.subnet_containing(dst) {
+                Some(sn) => sn,
+                None => return Verdict::Silent(SilenceReason::NoRoute),
+            },
         };
-        if target_router.is_none() && dst_subnet.is_none() {
-            return Verdict::Silent(SilenceReason::NoRoute);
-        }
 
         let flow = flow_key(probe);
         let mut current = origin;
@@ -327,12 +326,14 @@ impl Network {
         for step in 0..MAX_WALK {
             self.log(sink, Event::Arrived { at: current, ttl });
 
+            // The router this hop routes toward: the destination's owner
+            // or, for an unassigned address, the subnet's ingress — the
+            // attached router nearest to here, which is this router
+            // exactly when it is attached.
+            let toward = target_router.or_else(|| self.routing.ingress(current, dst_subnet));
+
             // 1. Delivery check (before TTL processing, as real stacks do).
-            let deliver_here = match target_router {
-                Some(tr) => current == tr,
-                None => self.topo.iface_on(current, dst_subnet.unwrap()).is_some(),
-            };
-            if deliver_here {
+            if toward == Some(current) {
                 self.log(sink, Event::Delivered { at: current });
                 return self.deliver(
                     probe,
@@ -340,6 +341,7 @@ impl Network {
                     prev_subnet,
                     origin,
                     assigned_iface,
+                    dst_subnet,
                     tick,
                     sink,
                 );
@@ -354,38 +356,28 @@ impl Network {
                 }
             }
 
-            // 3. Forward, from the precomputed ECMP arena — no per-hop
-            // allocation. Unassigned destinations route toward the
-            // subnet's ingress: the attached router nearest to here.
-            let hops: &[(RouterId, SubnetId)] = match target_router {
-                Some(tr) => self.routing.next_hops(current, tr),
-                None => match self.routing.ingress(current, dst_subnet.unwrap()) {
-                    Some(nearest) => self.routing.next_hops(current, nearest),
-                    None => &[],
-                },
-            };
-            if hops.is_empty() {
+            // 3. Forward over the ECMP set derived from the routing
+            // table — no per-hop allocation.
+            let Some(toward) = toward else {
                 return Verdict::Silent(SilenceReason::NoRoute);
-            }
-            // Fault-plan link filtering without materializing the
-            // filtered list: count the live hops, balance over that
-            // count, then index into the same filtered sequence —
-            // exactly what retain-then-choose produced.
-            let (next, via) = match self.fault {
-                Some(plan) => {
-                    let up = |&&(_, sn): &&(RouterId, SubnetId)| !plan.link_down(tick, sn);
-                    let live = hops.iter().filter(up).count();
-                    if live == 0 {
-                        return Verdict::Silent(SilenceReason::LinkDown);
-                    }
-                    let idx = self.lb_index(current, live, flow, tick);
-                    if live == hops.len() {
-                        hops[idx]
-                    } else {
-                        *hops.iter().filter(up).nth(idx).expect("idx < live")
-                    }
-                }
-                None => hops[self.lb_index(current, hops.len(), flow, tick)],
+            };
+            let hops = self.routing.next_hops(current, toward);
+            // Fault-plan link filtering: balance over the live hops in
+            // the same order, exactly what retain-then-choose produced.
+            let chosen = match self.fault {
+                Some(plan) => self.pick(
+                    current,
+                    hops.clone().filter(|&(_, sn)| !plan.link_down(tick, sn)),
+                    flow,
+                    tick,
+                ),
+                None => self.pick(current, hops.clone(), flow, tick),
+            };
+            let Some((next, via)) = chosen else {
+                return Verdict::Silent(match hops.clone().next() {
+                    None => SilenceReason::NoRoute,
+                    Some(_) => SilenceReason::LinkDown,
+                });
             };
             if let Some(plan) = self.fault {
                 if plan.drops_forward(tick, step as u64, via, current) {
@@ -399,14 +391,27 @@ impl Network {
         Verdict::Silent(SilenceReason::NoRoute)
     }
 
-    /// Picks the index of one ECMP next hop among `len` candidates
-    /// deterministically. Per-flow balancing is a pure hash; per-packet
-    /// balancing takes the router's shard lock for its counter — and
-    /// neither touches the lock when the choice is forced.
-    fn lb_index(&self, at: RouterId, len: usize, flow: u64, tick: u64) -> usize {
-        if len == 1 {
-            return 0;
+    /// Picks one next hop from an ECMP set (`None` when it is empty). A
+    /// forced choice is found in one pass and never consults the load
+    /// balancer; otherwise the balancer indexes into the set.
+    fn pick(
+        &self,
+        at: RouterId,
+        mut hops: impl Iterator<Item = (RouterId, SubnetId)> + Clone,
+        flow: u64,
+        tick: u64,
+    ) -> Option<(RouterId, SubnetId)> {
+        let (len, last) = hops.clone().fold((0, None), |(len, _), hop| (len + 1, Some(hop)));
+        match len {
+            0 | 1 => last,
+            _ => hops.nth(self.lb_index(at, len, flow, tick)),
         }
+    }
+
+    /// Picks the index of one ECMP next hop among `len > 1` candidates
+    /// deterministically. Per-flow balancing is a pure hash; per-packet
+    /// balancing takes the router's shard lock for its counter.
+    fn lb_index(&self, at: RouterId, len: usize, flow: u64, tick: u64) -> usize {
         match self.topo.router(at).config.lb {
             LbMode::PerFlow => {
                 let epoch = match self.fluctuation_period {
@@ -433,22 +438,19 @@ impl Network {
         prev_subnet: Option<SubnetId>,
         origin: RouterId,
         assigned_iface: Option<crate::topology::IfaceId>,
+        dst_subnet: SubnetId,
         tick: u64,
         sink: &mut Sink<'_>,
     ) -> Verdict {
         let proto = probe.header.protocol;
         let config = self.topo.router(at).config;
 
-        let blocked = |sn: &crate::topology::Subnet| {
-            sn.filtered || sn.filtered_sources.contains(&probe.header.src)
-        };
+        let sn = self.topo.subnet(dst_subnet);
+        if sn.filtered || sn.filtered_sources.contains(&probe.header.src) {
+            return Verdict::Silent(SilenceReason::Filtered);
+        }
         let Some(ifid) = assigned_iface else {
             // Unassigned address inside an attached subnet.
-            let sn =
-                self.topo.subnet_containing(probe.header.dst).expect("delivery implies subnet");
-            if blocked(self.topo.subnet(sn)) {
-                return Verdict::Silent(SilenceReason::Filtered);
-            }
             if !config.unreachable_replies {
                 return Verdict::Silent(SilenceReason::Unassigned);
             }
@@ -464,9 +466,6 @@ impl Network {
         };
 
         let iface = self.topo.iface(ifid).clone();
-        if blocked(self.topo.subnet(iface.subnet)) {
-            return Verdict::Silent(SilenceReason::Filtered);
-        }
         if !iface.responsive || !config.direct_protos.allows(proto) {
             return Verdict::Silent(SilenceReason::PolicySilence);
         }
@@ -543,8 +542,8 @@ impl Network {
                 self.incoming_addr(at, prev_subnet).or(probed).or_else(first_iface_addr)
             }
             ResponsePolicy::ShortestPath => {
-                let hops = self.routing.next_hops(at, origin);
-                let via = hops.first().map(|&(_, sn)| sn).or(prev_subnet)?;
+                let first = self.routing.next_hops(at, origin).next();
+                let via = first.map(|(_, sn)| sn).or(prev_subnet)?;
                 self.topo.iface_on(at, via).map(|i| self.topo.iface(i).addr)
             }
             ResponsePolicy::Default(addr) => Some(addr),

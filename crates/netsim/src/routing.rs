@@ -6,11 +6,14 @@
 //! All shortest next hops are retained; the engine's load balancer picks
 //! among them per flow or per packet (§3.7).
 //!
-//! Everything the forwarding hot path needs is precomputed at
-//! [`RoutingTable::compute`] time: the full per-(from, to) ECMP next-hop
-//! sets live in one compressed-sparse-row arena, so [`next_hops`]
-//! (`RoutingTable::next_hops`) returns a borrowed slice — the per-packet
-//! walk allocates nothing.
+//! [`RoutingTable::compute`] builds the router graph from subnet
+//! membership — one distinct attached-router run per subnet, so a LAN
+//! of `k` routers costs `k²` however many interfaces each router has on
+//! it — stores it as one compressed-sparse-row adjacency, and runs one
+//! BFS per router into a `u16` distance matrix. Next hops are derived
+//! from the two on demand: [`RoutingTable::next_hops`] filters the
+//! sorted adjacency of `from` by the destination's distance row, which
+//! allocates nothing and yields each ECMP set in a fixed order.
 
 use std::collections::VecDeque;
 
@@ -19,16 +22,17 @@ use crate::topology::{RouterId, SubnetId, Topology};
 /// Unreachable marker in the distance matrix.
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// All-pairs hop distances and next-hop sets for a topology.
+/// All-pairs hop distances over the router graph, plus its adjacency.
 pub struct RoutingTable {
     n: usize,
     /// dist[src * n + dst] = hop count between routers (0 on diagonal).
+    /// The graph is undirected, so the matrix is symmetric.
     dist: Vec<u16>,
-    /// CSR offsets into `hops`: the ECMP set for (from, to) is
-    /// `hops[hop_off[from * n + to] .. hop_off[from * n + to + 1]]`.
-    hop_off: Vec<u32>,
-    /// ECMP next-hop arena, each set sorted and deduped.
-    hops: Vec<(RouterId, SubnetId)>,
+    /// CSR offsets into `adj`, one run per router.
+    adj_off: Vec<u32>,
+    /// Every router's (neighbor, via-subnet) pairs, each run sorted and
+    /// deduped.
+    adj: Vec<(RouterId, SubnetId)>,
     /// CSR offsets into `attached`, one run per subnet.
     attached_off: Vec<u32>,
     /// Routers directly attached to each subnet, sorted and deduped —
@@ -37,24 +41,38 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// Computes the table: one BFS per router for the distance matrix,
-    /// then the dense ECMP next-hop arena and per-subnet attachment
-    /// lists the engine's hot path reads without allocating.
+    /// Computes the table: the per-subnet attachment lists, the router
+    /// adjacency derived from them, then one BFS per router for the
+    /// distance matrix.
     pub fn compute(topo: &Topology) -> RoutingTable {
         let n = topo.router_count();
+
+        let mut membership: Vec<(SubnetId, RouterId)> =
+            topo.ifaces().iter().map(|i| (i.subnet, i.router)).collect();
+        membership.sort_unstable();
+        membership.dedup();
+        let attached_off = run_offsets(&membership, topo.subnets().len(), |&(s, _)| s.0);
+        let attached: Vec<RouterId> = membership.into_iter().map(|(_, r)| r).collect();
+
+        // Every other router attached to a subnet is a neighbor via that
+        // subnet. Sorting the (router, neighbor, subnet) triples lays out
+        // each router's run in (neighbor, subnet) order; a pair arises
+        // once per shared subnet, so the runs are already deduped.
+        let mut triples = Vec::new();
+        for (s, w) in attached_off.windows(2).enumerate() {
+            let members = &attached[w[0] as usize..w[1] as usize];
+            for &r in members {
+                for &nb in members.iter().filter(|&&nb| nb != r) {
+                    triples.push((r, nb, SubnetId(s as u32)));
+                }
+            }
+        }
+        triples.sort_unstable();
+        let adj_off = run_offsets(&triples, n, |&(r, _, _)| r.0);
+        let adj: Vec<(RouterId, SubnetId)> =
+            triples.into_iter().map(|(_, nb, via)| (nb, via)).collect();
+
         let mut dist = vec![UNREACHABLE; n * n];
-        // Precompute the (neighbor, via-subnet) adjacency once, sorted
-        // and deduped — the same order `next_hops` used to produce per
-        // call, so the precomputed sets are byte-identical to the old
-        // on-demand ones.
-        let adj: Vec<Vec<(RouterId, SubnetId)>> = (0..n)
-            .map(|r| {
-                let mut v: Vec<(RouterId, SubnetId)> = topo.neighbors(RouterId(r as u32)).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
         let mut queue = VecDeque::new();
         for src in 0..n {
             let row = &mut dist[src * n..(src + 1) * n];
@@ -63,7 +81,7 @@ impl RoutingTable {
             queue.push_back(src);
             while let Some(cur) = queue.pop_front() {
                 let d = row[cur];
-                for &(nb, _) in &adj[cur] {
+                for &(nb, _) in &adj[adj_off[cur] as usize..adj_off[cur + 1] as usize] {
                     let nb = nb.0 as usize;
                     if row[nb] == UNREACHABLE {
                         row[nb] = d + 1;
@@ -73,37 +91,7 @@ impl RoutingTable {
             }
         }
 
-        // ECMP arena: filtering the sorted, deduped adjacency preserves
-        // sort order and uniqueness, so each run equals what
-        // sort+dedup over the filtered neighbors would produce.
-        let mut hop_off = Vec::with_capacity(n * n + 1);
-        hop_off.push(0u32);
-        let mut hops = Vec::new();
-        for from in 0..n {
-            for to in 0..n {
-                let d = dist[from * n + to];
-                if from != to && d != UNREACHABLE {
-                    let want = d - 1;
-                    hops.extend(
-                        adj[from].iter().filter(|&&(nb, _)| dist[nb.0 as usize * n + to] == want),
-                    );
-                }
-                hop_off.push(hops.len() as u32);
-            }
-        }
-
-        let mut attached_off = Vec::with_capacity(topo.subnets().len() + 1);
-        attached_off.push(0u32);
-        let mut attached = Vec::new();
-        for sn in topo.subnets() {
-            let mut run: Vec<RouterId> = sn.ifaces.iter().map(|&i| topo.iface(i).router).collect();
-            run.sort_unstable();
-            run.dedup();
-            attached.extend(run);
-            attached_off.push(attached.len() as u32);
-        }
-
-        RoutingTable { n, dist, hop_off, hops, attached_off, attached }
+        RoutingTable { n, dist, adj_off, adj, attached_off, attached }
     }
 
     /// Hop distance between two routers ([`UNREACHABLE`] if disconnected).
@@ -118,16 +106,42 @@ impl RoutingTable {
         self.dist(from, to) != UNREACHABLE
     }
 
+    /// `router`'s (neighbor, via-subnet) pairs, sorted and deduped.
+    #[inline]
+    fn adjacency(&self, router: RouterId) -> &[(RouterId, SubnetId)] {
+        let r = router.0 as usize;
+        &self.adj[self.adj_off[r] as usize..self.adj_off[r + 1] as usize]
+    }
+
     /// The ECMP next-hop set from `from` toward `to`: every
-    /// (neighbor, via-subnet) pair lying on some shortest path, in a
-    /// deterministic order. Borrowed from the precomputed arena — no
-    /// allocation.
+    /// (neighbor, via-subnet) pair lying on some shortest path, in
+    /// (neighbor, subnet) order. Derived from the adjacency and the
+    /// destination's distance row as it is iterated — no allocation.
     ///
     /// Empty when `from == to` or `to` is unreachable.
     #[inline]
-    pub fn next_hops(&self, from: RouterId, to: RouterId) -> &[(RouterId, SubnetId)] {
-        let cell = from.0 as usize * self.n + to.0 as usize;
-        &self.hops[self.hop_off[cell] as usize..self.hop_off[cell + 1] as usize]
+    pub fn next_hops(
+        &self,
+        from: RouterId,
+        to: RouterId,
+    ) -> impl Iterator<Item = (RouterId, SubnetId)> + Clone + '_ {
+        // Distances are symmetric, so `to`'s row holds both d(from, to)
+        // and every neighbor's distance to `to`.
+        let row = &self.dist[to.0 as usize * self.n..(to.0 as usize + 1) * self.n];
+        let d = row[from.0 as usize];
+        let adj = self.adjacency(from);
+        let candidates = match d {
+            0 | UNREACHABLE => &[][..],
+            // Only `to` itself is at distance 0, and the sorted run holds
+            // its entries together: find them without scanning a whole
+            // LAN's worth of neighbors.
+            1 => {
+                &adj[adj.partition_point(|&(nb, _)| nb < to)
+                    ..adj.partition_point(|&(nb, _)| nb <= to)]
+            }
+            _ => adj,
+        };
+        candidates.iter().copied().filter(move |&(nb, _)| row[nb.0 as usize] == d - 1)
     }
 
     /// The routers directly attached to `subnet`, sorted and deduped.
@@ -161,6 +175,16 @@ impl RoutingTable {
             .filter(|&(_, d)| d != UNREACHABLE)
             .min_by_key(|&(c, d)| (d, c))
     }
+}
+
+/// CSR offsets for `sorted`, grouped into `runs` runs by `key`: run `k`
+/// is `sorted[off[k]..off[k + 1]]`.
+fn run_offsets<T>(sorted: &[T], runs: usize, key: impl Fn(&T) -> u32) -> Vec<u32> {
+    let runs = u32::try_from(runs).expect("ids are u32");
+    (0..=runs)
+        .map(|k| sorted.partition_point(|t| key(t) < k))
+        .map(|off| u32::try_from(off).expect("CSR offsets fit in u32"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -205,10 +229,10 @@ mod tests {
     fn chain_next_hops_are_unique() {
         let (t, r) = chain(4);
         let rt = RoutingTable::compute(&t);
-        let hops = rt.next_hops(r[0], r[3]);
+        let hops: Vec<_> = rt.next_hops(r[0], r[3]).collect();
         assert_eq!(hops.len(), 1);
         assert_eq!(hops[0].0, r[1]);
-        assert!(rt.next_hops(r[0], r[0]).is_empty());
+        assert!(rt.next_hops(r[0], r[0]).next().is_none());
     }
 
     #[test]
@@ -223,7 +247,7 @@ mod tests {
         let t = b.build().unwrap();
         let rt = RoutingTable::compute(&t);
         assert!(!rt.reachable(r1, r2));
-        assert!(rt.next_hops(r1, r2).is_empty());
+        assert!(rt.next_hops(r1, r2).next().is_none());
         assert!(rt.nearest(r1, [r2]).is_none());
     }
 
@@ -246,34 +270,127 @@ mod tests {
         let (t, r) = diamond();
         let rt = RoutingTable::compute(&t);
         assert_eq!(rt.dist(r[0], r[3]), 2);
-        let hops = rt.next_hops(r[0], r[3]);
-        assert_eq!(hops.len(), 2);
-        let nbs: Vec<RouterId> = hops.iter().map(|&(n, _)| n).collect();
+        let nbs: Vec<RouterId> = rt.next_hops(r[0], r[3]).map(|(n, _)| n).collect();
+        assert_eq!(nbs.len(), 2);
         assert!(nbs.contains(&r[1]) && nbs.contains(&r[2]));
     }
 
+    /// The ECMP set built the way routing first did: pair every
+    /// interface of `from` with every interface on its subnets, keep the
+    /// neighbors one hop closer to `to`, then sort and dedup.
+    fn interface_pair_next_hops(
+        t: &Topology,
+        rt: &RoutingTable,
+        from: RouterId,
+        to: RouterId,
+    ) -> Vec<(RouterId, SubnetId)> {
+        if from == to || !rt.reachable(from, to) {
+            return Vec::new();
+        }
+        let want = rt.dist(from, to) - 1;
+        let mut v: Vec<(RouterId, SubnetId)> = t
+            .router(from)
+            .ifaces
+            .iter()
+            .flat_map(|&i| {
+                let sn = t.iface(i).subnet;
+                t.subnet(sn).ifaces.iter().map(move |&j| (t.iface(j).router, sn))
+            })
+            .filter(|&(nb, _)| nb != from && rt.dist(nb, to) == want)
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
     #[test]
-    fn precomputed_sets_match_on_demand_construction() {
-        // The arena must hold, for every (from, to) pair, exactly the
-        // sorted+deduped filter of the neighbor list — the construction
-        // `next_hops` performed per call before precomputation.
+    fn derived_next_hops_match_interface_pair_construction() {
         let (t, r) = diamond();
         let rt = RoutingTable::compute(&t);
         for &from in &r {
             for &to in &r {
-                let expected: Vec<(RouterId, SubnetId)> = if from == to || !rt.reachable(from, to) {
-                    Vec::new()
-                } else {
-                    let want = rt.dist(from, to) - 1;
-                    let mut v: Vec<(RouterId, SubnetId)> =
-                        t.neighbors(from).filter(|&(nb, _)| rt.dist(nb, to) == want).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
-                assert_eq!(rt.next_hops(from, to), expected.as_slice(), "{from:?} -> {to:?}");
+                let got: Vec<_> = rt.next_hops(from, to).collect();
+                assert_eq!(got, interface_pair_next_hops(&t, &rt, from, to), "{from:?} -> {to:?}");
             }
         }
+    }
+
+    #[test]
+    fn adjacency_via_shared_subnets() {
+        let (t, r) = chain(3);
+        let rt = RoutingTable::compute(&t);
+        assert_eq!(rt.adjacency(r[0]), &[(r[1], SubnetId(0))]);
+        assert_eq!(rt.adjacency(r[1]), &[(r[0], SubnetId(0)), (r[2], SubnetId(1))]);
+    }
+
+    #[test]
+    fn lan_with_many_interfaces_per_router_is_one_adjacency_per_pair() {
+        // k routers with m interfaces each on one /24 LAN; r0 also
+        // reaches an edge router over a /31.
+        let (k, m) = (4u8, 3u8);
+        let mut b = TopologyBuilder::new();
+        let r: Vec<RouterId> =
+            (0..k).map(|i| b.router(format!("r{i}"), RouterConfig::cooperative())).collect();
+        let lan = b.subnet(p("10.9.0.0/24"));
+        for (i, &router) in r.iter().enumerate() {
+            for j in 0..m {
+                b.attach(router, lan, Addr::new(10, 9, 0, 1 + i as u8 * m + j)).unwrap();
+            }
+        }
+        let edge = b.router("edge", RouterConfig::cooperative());
+        let link = b.subnet(p("10.9.1.0/31"));
+        b.attach(r[0], link, a("10.9.1.0")).unwrap();
+        b.attach(edge, link, a("10.9.1.1")).unwrap();
+        let t = b.build().unwrap();
+        let rt = RoutingTable::compute(&t);
+
+        assert_eq!(rt.adjacency(r[0]).len(), k as usize);
+        for &x in &r[1..] {
+            let want: Vec<_> = r.iter().filter(|&&y| y != x).map(|&y| (y, lan)).collect();
+            assert_eq!(rt.adjacency(x), want.as_slice());
+            assert_eq!(rt.dist(x, edge), 2);
+            assert_eq!(rt.dist(edge, x), 2);
+            assert_eq!(rt.next_hops(x, edge).collect::<Vec<_>>(), [(r[0], lan)]);
+            assert_eq!(rt.next_hops(edge, x).collect::<Vec<_>>(), [(r[0], link)]);
+            for &y in &r {
+                if x != y {
+                    assert_eq!(rt.next_hops(x, y).collect::<Vec<_>>(), [(y, lan)]);
+                }
+            }
+        }
+        let all: Vec<RouterId> = r.iter().copied().chain([edge]).collect();
+        for &from in &all {
+            for &to in &all {
+                let got: Vec<_> = rt.next_hops(from, to).collect();
+                assert_eq!(got, interface_pair_next_hops(&t, &rt, from, to), "{from:?} -> {to:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_subnets_to_a_neighbor_are_all_next_hops() {
+        // r1 shares a LAN and two /31s with r0, and sits between r0 and
+        // r2 on the LAN's sorted neighbor run.
+        let mut b = TopologyBuilder::new();
+        let r: Vec<RouterId> =
+            (0..3).map(|i| b.router(format!("r{i}"), RouterConfig::cooperative())).collect();
+        let lan = b.subnet(p("10.8.0.0/29"));
+        for (i, &router) in r.iter().enumerate() {
+            b.attach(router, lan, Addr::new(10, 8, 0, 1 + i as u8)).unwrap();
+        }
+        let mut links = Vec::new();
+        for k in 1..3u8 {
+            let link = b.subnet(Prefix::containing(Addr::new(10, 8, k, 0), 31));
+            b.attach(r[0], link, Addr::new(10, 8, k, 0)).unwrap();
+            b.attach(r[1], link, Addr::new(10, 8, k, 1)).unwrap();
+            links.push(link);
+        }
+        let t = b.build().unwrap();
+        let rt = RoutingTable::compute(&t);
+        let hops: Vec<_> = rt.next_hops(r[0], r[1]).collect();
+        assert_eq!(hops, [(r[1], lan), (r[1], links[0]), (r[1], links[1])]);
+        assert_eq!(rt.next_hops(r[0], r[2]).collect::<Vec<_>>(), [(r[2], lan)]);
+        assert_eq!(hops, interface_pair_next_hops(&t, &rt, r[0], r[1]));
     }
 
     #[test]

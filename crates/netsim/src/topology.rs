@@ -83,12 +83,12 @@ pub struct Topology {
     ifaces: Vec<Iface>,
     subnets: Vec<Subnet>,
     by_addr: HashMap<Addr, IfaceId>,
-    by_prefix: HashMap<Prefix, SubnetId>,
+    /// Every subnet's prefix, sorted by (network, length). Prefixes never
+    /// overlap, so an address lies in at most one: the last whose network
+    /// address is not above it.
+    by_network: Vec<(Prefix, SubnetId)>,
     /// Name → id, first declaration wins (built in [`TopologyBuilder::build`]).
     by_name: HashMap<String, RouterId>,
-    /// Distinct prefix lengths present, descending — longest-prefix match
-    /// probes these in order.
-    prefix_lens: Vec<u8>,
 }
 
 impl Topology {
@@ -134,15 +134,15 @@ impl Topology {
 
     /// Looks up a subnet by its exact prefix.
     pub fn subnet_by_prefix(&self, prefix: Prefix) -> Option<SubnetId> {
-        self.by_prefix.get(&prefix).copied()
+        self.subnet_containing(prefix.network()).filter(|&id| self.subnet(id).prefix == prefix)
     }
 
-    /// Longest-prefix match: the most specific subnet whose prefix
-    /// contains `addr`.
+    /// Longest-prefix match: the subnet whose prefix contains `addr`
+    /// (validated prefixes are disjoint, so there is at most one).
     pub fn subnet_containing(&self, addr: Addr) -> Option<SubnetId> {
-        self.prefix_lens
-            .iter()
-            .find_map(|&len| self.by_prefix.get(&Prefix::containing(addr, len)).copied())
+        let i = self.by_network.partition_point(|(p, _)| p.network() <= addr);
+        let &(prefix, id) = self.by_network.get(i.checked_sub(1)?)?;
+        prefix.contains(addr).then_some(id)
     }
 
     /// The router hosting `addr`, if assigned.
@@ -163,19 +163,6 @@ impl Topology {
     /// is returned (deterministically, in insertion order).
     pub fn iface_on(&self, router: RouterId, subnet: SubnetId) -> Option<IfaceId> {
         self.router(router).ifaces.iter().copied().find(|&i| self.iface(i).subnet == subnet)
-    }
-
-    /// Iterates (neighbor router, via subnet, neighbor's interface) for
-    /// every interface adjacency of `router`.
-    pub fn neighbors(&self, router: RouterId) -> impl Iterator<Item = (RouterId, SubnetId)> + '_ {
-        self.router(router).ifaces.iter().flat_map(move |&ifid| {
-            let sn = self.iface(ifid).subnet;
-            self.subnet(sn)
-                .ifaces
-                .iter()
-                .map(move |&other| (self.iface(other).router, sn))
-                .filter(move |&(r, _)| r != router)
-        })
     }
 
     /// The ground-truth member addresses of a subnet, sorted — what the
@@ -351,32 +338,24 @@ impl TopologyBuilder {
 
     /// Validates and freezes the topology.
     pub fn build(mut self) -> Result<Topology, TopologyError> {
-        // Unique, non-overlapping prefixes.
-        let mut seen: Vec<Prefix> = Vec::with_capacity(self.topo.subnets.len());
-        for s in &self.topo.subnets {
-            if seen.contains(&s.prefix) {
-                return Err(TopologyError::DuplicatePrefix(s.prefix));
-            }
-            seen.push(s.prefix);
-        }
-        let mut sorted = seen.clone();
-        sorted.sort_unstable_by_key(|p| (p.network(), p.len()));
-        for w in sorted.windows(2) {
-            if w[0].covers(w[1]) || w[1].covers(w[0]) {
-                return Err(TopologyError::OverlappingPrefixes(w[0], w[1]));
-            }
-        }
-        self.topo.by_prefix = self
-            .topo
-            .subnets
-            .iter()
-            .enumerate()
+        // Unique, non-overlapping prefixes: sorted by (network, length),
+        // a duplicate or a containing prefix sits right before the one it
+        // clashes with. Equality is tested first because `covers` is
+        // reflexive.
+        let mut by_network: Vec<(Prefix, SubnetId)> = (self.topo.subnets.iter().enumerate())
             .map(|(i, s)| (s.prefix, SubnetId(i as u32)))
             .collect();
-        let mut lens: Vec<u8> = self.topo.subnets.iter().map(|s| s.prefix.len()).collect();
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        lens.dedup();
-        self.topo.prefix_lens = lens;
+        by_network.sort_unstable_by_key(|(p, _)| (p.network(), p.len()));
+        for w in by_network.windows(2) {
+            let (x, y) = (w[0].0, w[1].0);
+            if x == y {
+                return Err(TopologyError::DuplicatePrefix(x));
+            }
+            if x.covers(y) || y.covers(x) {
+                return Err(TopologyError::OverlappingPrefixes(x, y));
+            }
+        }
+        self.topo.by_network = by_network;
         // Name index; entry() keeps the first declaration on duplicates,
         // matching the linear scan this map replaces.
         for (i, r) in self.topo.routers.iter().enumerate() {
@@ -469,21 +448,38 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_prefix_is_not_reported_as_overlap() {
+        // Declared apart, with another prefix declared in between.
+        let mut b = two_router_link();
+        b.subnet(p("10.0.5.0/24"));
+        b.subnet(p("10.0.0.4/30"));
+        b.subnet(p("10.0.5.0/24"));
+        assert_eq!(b.build().err(), Some(TopologyError::DuplicatePrefix(p("10.0.5.0/24"))));
+    }
+
+    #[test]
+    fn nested_prefix_is_reported_as_overlap() {
+        // The container shares no network address with the nested
+        // prefix, and the two are declared in either order.
+        for (first, second) in [("10.0.0.0/16", "10.0.7.8/30"), ("10.0.7.8/30", "10.0.0.0/16")] {
+            let mut b = TopologyBuilder::new();
+            b.subnet(p(first));
+            b.subnet(p("10.1.0.0/24"));
+            b.subnet(p(second));
+            assert_eq!(
+                b.build().err(),
+                Some(TopologyError::OverlappingPrefixes(p("10.0.0.0/16"), p("10.0.7.8/30")))
+            );
+        }
+    }
+
+    #[test]
     fn rejects_dangling_references() {
         let mut b = TopologyBuilder::new();
         let s = b.subnet(p("10.0.0.0/30"));
         assert_eq!(b.attach(RouterId(9), s, a("10.0.0.1")), Err(TopologyError::BadReference));
         let r = b.router("r", RouterConfig::cooperative());
         assert_eq!(b.attach(r, SubnetId(9), a("10.0.0.1")), Err(TopologyError::BadReference));
-    }
-
-    #[test]
-    fn neighbors_via_shared_subnets() {
-        let t = two_router_link().build().unwrap();
-        let r1 = t.router_by_name("r1").unwrap();
-        let r2 = t.router_by_name("r2").unwrap();
-        let n: Vec<_> = t.neighbors(r1).collect();
-        assert_eq!(n, vec![(r2, SubnetId(0))]);
     }
 
     #[test]
@@ -517,10 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn longest_prefix_match_probes_lengths_most_specific_first() {
-        // Nested-looking lengths across disjoint ranges: the probe order
-        // /30, /24, /16 must find the most specific container even when a
-        // wider prefix also exists at another length.
+    fn longest_prefix_match_across_lengths() {
+        // Prefixes of three lengths in disjoint ranges: each address
+        // resolves to the one prefix containing it, and an address between
+        // them to none.
         let mut b = TopologyBuilder::new();
         let r = b.router("r", RouterConfig::cooperative());
         let p16 = b.subnet(p("10.16.0.0/16"));
@@ -534,6 +530,11 @@ mod tests {
         assert_eq!(t.subnet_containing(a("10.24.0.77")), Some(p24));
         assert_eq!(t.subnet_containing(a("10.30.0.2")), Some(p30));
         assert_eq!(t.subnet_containing(a("10.31.0.1")), None);
+        assert_eq!(t.subnet_containing(a("10.17.0.1")), None);
+        assert_eq!(t.subnet_containing(a("9.255.255.255")), None);
+        assert_eq!(t.subnet_by_prefix(p("10.24.0.0/24")), Some(p24));
+        assert_eq!(t.subnet_by_prefix(p("10.24.0.0/25")), None);
+        assert_eq!(t.subnet_by_prefix(p("10.16.0.0/15")), None);
     }
 
     #[test]

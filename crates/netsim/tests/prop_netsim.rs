@@ -2,7 +2,10 @@
 //! policy invariants on randomized topologies.
 
 use inet::{Addr, Prefix};
-use netsim::{samples, FaultPlan, Network, RouterConfig, RoutingTable, TopologyBuilder, Verdict};
+use netsim::{
+    samples, FaultPlan, Network, RouterConfig, RouterId, RoutingTable, SubnetId, TopologyBuilder,
+    Verdict, UNREACHABLE,
+};
 use proptest::prelude::*;
 use wire::builder::{icmp_probe, tcp_probe, udp_probe, UDP_PROBE_BASE_PORT};
 use wire::{IcmpMessage, Packet, Payload, UnreachableCode};
@@ -90,6 +93,75 @@ proptest! {
             }
         }
     }
+    /// On routers with several interfaces on shared multi-access LANs
+    /// (the pattern of the ISP generator's /20 blocks), plus parallel
+    /// point-to-point links: distances equal a Floyd–Warshall closure of
+    /// subnet membership and are symmetric, and every ECMP set equals the
+    /// interface-pair construction over subnet membership and `dist`.
+    #[test]
+    fn routing_matches_subnet_membership_reference(seed in 0u64..500) {
+        let topo = random_lan_mesh(seed);
+        let rt = RoutingTable::compute(&topo);
+        let n = topo.router_count();
+        let ids: Vec<RouterId> = (0..n as u32).map(RouterId).collect();
+
+        // Subnet membership: the hosting router of every interface.
+        let members: Vec<Vec<RouterId>> = topo
+            .subnets()
+            .iter()
+            .map(|sn| sn.ifaces.iter().map(|&i| topo.iface(i).router).collect())
+            .collect();
+        let mut closure = vec![vec![u32::MAX; n]; n];
+        for (r, row) in closure.iter_mut().enumerate() {
+            row[r] = 0;
+        }
+        for m in &members {
+            for &x in m {
+                for &y in m {
+                    if x != y {
+                        closure[x.0 as usize][y.0 as usize] = 1;
+                    }
+                }
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    let via = closure[i][k].saturating_add(closure[k][j]);
+                    if via < closure[i][j] {
+                        closure[i][j] = via;
+                    }
+                }
+            }
+        }
+
+        for &from in &ids {
+            for &to in &ids {
+                let d = rt.dist(from, to);
+                prop_assert_eq!(d, rt.dist(to, from), "asymmetric {:?} {:?}", from, to);
+                let want_d = closure[from.0 as usize][to.0 as usize];
+                prop_assert_eq!(u32::from(d), want_d.min(u32::from(UNREACHABLE)));
+
+                let mut want: Vec<(RouterId, SubnetId)> = Vec::new();
+                if from != to && d != UNREACHABLE {
+                    for (sid, m) in members.iter().enumerate() {
+                        if m.contains(&from) {
+                            want.extend(
+                                m.iter()
+                                    .filter(|&&nb| nb != from && rt.dist(nb, to) == d - 1)
+                                    .map(|&nb| (nb, SubnetId(sid as u32))),
+                            );
+                        }
+                    }
+                }
+                want.sort_unstable();
+                want.dedup();
+                let got: Vec<(RouterId, SubnetId)> = rt.next_hops(from, to).collect();
+                prop_assert_eq!(got, want, "seed {} {:?} -> {:?}", seed, from, to);
+            }
+        }
+    }
+
     /// Every reply the engine emits survives the wire codec unchanged:
     /// probers classify the engine's reply packet directly, which is only
     /// what a raw socket would see if encoding and decoding it is the
@@ -195,4 +267,48 @@ fn random_mesh(seed: u64) -> (netsim::Topology, Addr) {
         }
     }
     (b.build().expect("random mesh builds"), vantage)
+}
+
+/// Routers with one to three interfaces each on shared /24 LANs, plus
+/// point-to-point /31 links that may parallel a LAN adjacency or leave
+/// some routers disconnected.
+fn random_lan_mesh(seed: u64) -> netsim::Topology {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    let mut next = move |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+
+    let mut b = TopologyBuilder::new();
+    let n = 3 + next(8) as usize; // 3..=10 routers
+    let routers: Vec<RouterId> =
+        (0..n).map(|i| b.router(format!("r{i}"), RouterConfig::cooperative())).collect();
+    for lan in 0..1 + next(4) as u8 {
+        let prefix = Prefix::containing(Addr::new(10, 30, lan, 0), 24);
+        let s = b.subnet(prefix);
+        let mut host = 1u8;
+        for &r in &routers {
+            if next(2) == 0 {
+                continue;
+            }
+            for _ in 0..1 + next(3) {
+                b.attach(r, s, Addr::new(10, 30, lan, host)).unwrap();
+                host += 1;
+            }
+        }
+    }
+    for k in 0..next(5) as u8 {
+        let x = routers[next(n as u64) as usize];
+        let y = routers[next(n as u64) as usize];
+        if x == y {
+            continue;
+        }
+        let base = Addr::new(10, 31, k, 0);
+        let s = b.subnet(Prefix::containing(base, 31));
+        b.attach(x, s, base).unwrap();
+        b.attach(y, s, base.mate31()).unwrap();
+    }
+    b.build().expect("random LAN mesh builds")
 }

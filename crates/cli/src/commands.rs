@@ -1,6 +1,7 @@
 //! The CLI subcommands. Each is a pure function from parsed options to
 //! output text, which keeps them directly testable.
 
+use std::io::{BufWriter, Write};
 use std::sync::Arc;
 
 use inet::{Addr, Prefix};
@@ -179,25 +180,57 @@ impl MetricsOut {
     }
 }
 
-/// Installs the span subscriber for `-v` / `-vv`.
-fn install_subscriber(opts: &Opts) {
-    match opts.verbosity() {
-        0 => {}
-        1 => obs::trace::set_subscriber(obs::Level::Info, Box::new(obs::trace::FmtSubscriber)),
-        _ => obs::trace::set_subscriber(obs::Level::Debug, Box::new(obs::trace::FmtSubscriber)),
+/// The CLI's views of the recorder stream, one sink for all of them:
+/// `--trace-log` gets each probe's [`obs::ProbeEvent::to_json`] line,
+/// `-v` prints each decision to stderr, and `-vv` also prints each
+/// probe line there. Every stderr line names its session, so the output
+/// of concurrent workers stays readable.
+struct ViewSink {
+    trace_log: Option<BufWriter<std::fs::File>>,
+    verbosity: u8,
+}
+
+impl obs::EventSink for ViewSink {
+    fn emit(&mut self, event: &obs::ProbeEvent) {
+        if self.trace_log.is_none() && self.verbosity < 2 {
+            return;
+        }
+        let line = event.to_json().to_string();
+        // An unwritable log or terminal should not take the collection
+        // session down; log errors surface at the flush after the run.
+        if let Some(log) = &mut self.trace_log {
+            let _ = writeln!(log, "{line}");
+        }
+        if self.verbosity >= 2 {
+            let _ = writeln!(std::io::stderr(), "{line}");
+        }
+    }
+
+    fn emit_decision(&mut self, d: &obs::DecisionEvent) {
+        if self.verbosity >= 1 {
+            let session = d.session.map_or_else(|| "-".to_string(), |k| k.to_string());
+            let _ = writeln!(std::io::stderr(), "session {session} hop {} {d}", d.hop);
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.trace_log.as_mut().map_or(Ok(()), Write::flush)
     }
 }
 
-/// Builds the probe-telemetry recorder from `--trace-log`, `--metrics`
-/// and `--metrics-json`, and installs the span subscriber for `-v` /
-/// `-vv`. Returns the recorder plus the metrics outputs, when requested.
+/// Builds the probe-telemetry recorder from `--trace-log`, `-v`/`-vv`,
+/// `--metrics` and `--metrics-json`. Returns the recorder plus the
+/// metrics outputs, when requested.
 fn recorder_from(opts: &Opts) -> Result<(obs::Recorder, Option<MetricsOut>), String> {
-    install_subscriber(opts);
     let mut recorder = obs::Recorder::new();
-    if let Some(path) = opts.flag("trace-log") {
-        let sink = obs::JsonlSink::create(std::path::Path::new(path))
-            .map_err(|e| format!("{path}: {e}"))?;
-        recorder = recorder.with_sink(obs::SinkHandle::new(sink));
+    let trace_log = opts
+        .flag("trace-log")
+        .map(|path| std::fs::File::create(path).map_err(|e| format!("{path}: {e}")))
+        .transpose()?
+        .map(BufWriter::new);
+    let verbosity = opts.verbosity();
+    if trace_log.is_some() || verbosity > 0 {
+        recorder = recorder.with_sink(obs::SinkHandle::new(ViewSink { trace_log, verbosity }));
     }
     let pretty = opts.flag("metrics").map(str::to_string);
     let compact = opts.flag("metrics-json").map(str::to_string);
@@ -575,7 +608,6 @@ pub fn record(opts: &Opts) -> Result<String, String> {
     let v = vantage(&scenario, opts)?;
     let proto = protocol(opts)?;
     let out_path = opts.flag("out").ok_or("missing --out FILE (where the exchange log goes)")?;
-    install_subscriber(opts);
     let targets = targets_from(&scenario, opts)?;
     if targets.is_empty() {
         return Err("nothing to record: scenario has no targets".to_string());
@@ -636,6 +668,22 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Buckets an exchange log's `lines` by session in one pass: entry `k`
+/// holds session `k`'s lines in log order, for each of the header's
+/// `n` targets, so per-session commands never rescan the whole log.
+fn by_session<'a, T>(
+    n: usize,
+    lines: impl IntoIterator<Item = (Option<u64>, &'a T)>,
+) -> Vec<Vec<&'a T>> {
+    let mut sessions = vec![Vec::new(); n];
+    for (session, line) in lines {
+        if let Some(s) = session.and_then(|k| sessions.get_mut(usize::try_from(k).ok()?)) {
+            s.push(line);
+        }
+    }
+    sessions
+}
+
 /// `tracenet replay <log>` — re-run every recorded session against the
 /// log itself (no simulator involved) and check that each replayed
 /// `TraceReport` is byte-identical to the recorded one.
@@ -645,13 +693,15 @@ pub fn replay(opts: &Opts) -> Result<String, String> {
     let tn_opts = options_from_json(&log.header.options)?;
     let mut diverged = Vec::new();
     let mut probes = 0u64;
-    for (k, &target) in log.header.targets.iter().enumerate() {
+    let events = by_session(log.header.targets.len(), log.events.iter().map(|e| (e.session, e)));
+    for (k, (&target, events)) in log.header.targets.iter().zip(events).enumerate() {
         let session = k as u64;
         let recorded = log
             .report_for(session)
             .ok_or_else(|| format!("session {session}: log carries no report line"))?;
-        let mut prober = probe::ReplayProber::for_session(&log, session)
-            .map_err(|e| format!("session {session}: {e}"))?;
+        let mut prober =
+            probe::ReplayProber::from_events(log.header.vantage, log.header.protocol, &events)
+                .map_err(|e| format!("session {session}: {e}"))?;
         let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Session::new(&mut prober, tn_opts).run(target)
         }));
@@ -764,12 +814,13 @@ pub fn diff(opts: &Opts) -> Result<String, String> {
     if a.header.options != b.header.options {
         lines.push("header: collection options differ".to_string());
     }
-    for (k, &target) in a.header.targets.iter().enumerate() {
-        if k >= b.header.targets.len() {
-            break;
-        }
+    let probes = |log: &obs::ExchangeLog| -> Vec<usize> {
+        let n = log.header.targets.len();
+        by_session(n, log.events.iter().map(|e| (e.session, e))).iter().map(Vec::len).collect()
+    };
+    let counts = probes(&a).into_iter().zip(probes(&b));
+    for (k, (&target, (ea, eb))) in a.header.targets.iter().zip(counts).enumerate() {
         let session = k as u64;
-        let (ea, eb) = (a.events_for(session).count(), b.events_for(session).count());
         if ea != eb {
             lines.push(format!("session {session} ({target}): {ea} vs {eb} probe events"));
         }
@@ -811,10 +862,12 @@ pub fn explain(opts: &Opts) -> Result<String, String> {
     };
     let mut out = format!("{what}: inference record from {path}\n");
     let mut matched = false;
-    for (k, &target) in log.header.targets.iter().enumerate() {
+    let decisions =
+        by_session(log.header.targets.len(), log.decisions.iter().map(|d| (d.session, d)));
+    for (k, (&target, decisions)) in log.header.targets.iter().zip(decisions).enumerate() {
         let session = k as u64;
-        let hits: Vec<&obs::DecisionEvent> = log
-            .decisions_for(session)
+        let hits: Vec<&obs::DecisionEvent> = decisions
+            .into_iter()
             .filter(|d| d.subject.is_some_and(|a| prefix.contains(a)))
             .collect();
         if hits.is_empty() {
@@ -828,14 +881,7 @@ pub fn explain(opts: &Opts) -> Result<String, String> {
                 hop = Some(d.hop);
                 out.push_str(&format!("  hop {}\n", d.hop));
             }
-            let phase = d.phase.map_or("-", |p| p.label());
-            let rule = d.cause.map(|c| format!("/{}", c.label())).unwrap_or_default();
-            let subject = d.subject.map_or_else(|| "-".to_string(), |a| a.to_string());
-            out.push_str(&format!(
-                "    [{phase}{rule}] {} {subject}: {}\n",
-                d.verdict.label(),
-                d.evidence
-            ));
+            out.push_str(&format!("    {d}\n"));
         }
     }
     if !matched {

@@ -47,7 +47,9 @@ COMMANDS:
                               run tracenet sessions; --trace-log streams one
                               JSON line per probe, --metrics writes per-phase
                               counters (--metrics-json the compact machine
-                              form), -v/-vv print span-structured progress;
+                              form), -v prints every H1-H9 decision to stderr
+                              as `session K hop D [phase/cause] verdict
+                              subject: evidence`, -vv also each probe line;
                               --fault-profile injects seeded faults
                               (none|light-loss|heavy-loss|rate-storm|
                               flaky-links|chaos), --retries/--backoff shape
@@ -65,14 +67,14 @@ COMMANDS:
                               [--fault-profile NAME] [--fault-seed N]
                               [--fault-budget N]
                               [--trace-log FILE] [--metrics FILE]
-                              [--metrics-json FILE]
+                              [--metrics-json FILE] [-v|-vv]
                               trace many targets on a worker pool sharing a
                               cross-session subnet cache; --jobs sets the
                               thread count (default 4), --no-cache disables
                               subnet reuse across sessions, --rtt-us models a
                               per-probe round-trip time in microseconds
-                              (latency that --jobs overlaps); fault and retry
-                              flags as in `trace`
+                              (latency that --jobs overlaps); fault, retry,
+                              log, metrics and -v/-vv flags as in `trace`
     record <scenario> --out FILE [--targets A,B,..] [--jobs N]
                               [--vantage NAME] [--protocol icmp|udp|tcp]
                               [--max-ttl N] [fault/retry flags as in `trace`]

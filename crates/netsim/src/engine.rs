@@ -112,6 +112,13 @@ struct Slot {
 /// path.
 type Sink<'a> = Option<&'a mut Vec<Event>>;
 
+/// Appends one walk event to the caller's trace, when it asked for one.
+fn log(sink: &mut Sink<'_>, e: Event) {
+    if let Some(t) = sink.as_deref_mut() {
+        t.push(e);
+    }
+}
+
 /// A live network, shareable across probe worker threads: immutable
 /// topology + routing behind `Arc`s, an atomic packet clock, and
 /// per-router sharded counters. All probing methods take `&self`.
@@ -252,15 +259,6 @@ impl Network {
         if let Some(t) = sink.as_deref_mut() {
             t.clear();
         }
-        obs::trace_event!(
-            obs::Level::Trace,
-            "net: inject tick={} {} -> {} ttl={} proto={:?}",
-            tick,
-            probe.header.src,
-            probe.header.dst,
-            probe.header.ttl,
-            probe.header.protocol
-        );
         let verdict = self.walk(probe, tick, sink);
         // Reverse-path loss: the reply was generated (tokens spent, trace
         // logged) but never makes it back to the caller.
@@ -271,33 +269,9 @@ impl Network {
             v => v,
         };
         if let Verdict::Silent(reason) = &verdict {
-            self.log(sink, Event::Dropped { reason: *reason });
+            log(sink, Event::Dropped { reason: *reason });
         }
         verdict
-    }
-
-    fn log(&self, sink: &mut Sink<'_>, e: Event) {
-        if obs::trace::enabled(obs::Level::Trace) {
-            obs::trace::dispatch(obs::Level::Trace, &format!("net: {}", self.describe(&e)));
-        }
-        if let Some(t) = sink.as_deref_mut() {
-            t.push(e);
-        }
-    }
-
-    /// Renders a walk event with router names for the trace facade.
-    fn describe(&self, e: &Event) -> String {
-        let name = |r: RouterId| self.topo.router(r).name.as_str();
-        match *e {
-            Event::Arrived { at, ttl } => format!("arrived at {} ttl={ttl}", name(at)),
-            Event::Forwarded { from, to } => {
-                format!("forwarded {} -> {}", name(from), name(to))
-            }
-            Event::TtlExpired { at } => format!("ttl expired at {}", name(at)),
-            Event::Delivered { at } => format!("delivered at {}", name(at)),
-            Event::Replied { from, src } => format!("reply from {} src={src}", name(from)),
-            Event::Dropped { reason } => format!("dropped: {reason:?}"),
-        }
     }
 
     fn walk(&self, probe: &Packet, tick: u64, sink: &mut Sink<'_>) -> Verdict {
@@ -324,7 +298,7 @@ impl Network {
         let mut ttl = probe.header.ttl;
 
         for step in 0..MAX_WALK {
-            self.log(sink, Event::Arrived { at: current, ttl });
+            log(sink, Event::Arrived { at: current, ttl });
 
             // The router this hop routes toward: the destination's owner
             // or, for an unassigned address, the subnet's ingress — the
@@ -334,7 +308,7 @@ impl Network {
 
             // 1. Delivery check (before TTL processing, as real stacks do).
             if toward == Some(current) {
-                self.log(sink, Event::Delivered { at: current });
+                log(sink, Event::Delivered { at: current });
                 return self.deliver(
                     probe,
                     current,
@@ -351,7 +325,7 @@ impl Network {
             if step > 0 {
                 ttl -= 1;
                 if ttl == 0 {
-                    self.log(sink, Event::TtlExpired { at: current });
+                    log(sink, Event::TtlExpired { at: current });
                     return self.ttl_exceeded(probe, current, prev_subnet, origin, tick, sink);
                 }
             }
@@ -384,7 +358,7 @@ impl Network {
                     return Verdict::Silent(SilenceReason::ForwardLoss);
                 }
             }
-            self.log(sink, Event::Forwarded { from: current, to: next });
+            log(sink, Event::Forwarded { from: current, to: next });
             current = next;
             prev_subnet = Some(via);
         }
@@ -461,7 +435,7 @@ impl Network {
                 return Verdict::Silent(SilenceReason::RateLimited);
             }
             let reply = builder::unreachable(probe, src, UnreachableCode::Host);
-            self.log(sink, Event::Replied { from: at, src });
+            log(sink, Event::Replied { from: at, src });
             return Verdict::Reply(reply);
         };
 
@@ -487,7 +461,7 @@ impl Network {
         if !self.take_token(at, tick) {
             return Verdict::Silent(SilenceReason::RateLimited);
         }
-        self.log(sink, Event::Replied { from: at, src });
+        log(sink, Event::Replied { from: at, src });
         Verdict::Reply(reply)
     }
 
@@ -518,7 +492,7 @@ impl Network {
             return Verdict::Silent(SilenceReason::RateLimited);
         }
         let reply = builder::ttl_exceeded(probe, src);
-        self.log(sink, Event::Replied { from: at, src });
+        log(sink, Event::Replied { from: at, src });
         Verdict::Reply(reply)
     }
 

@@ -198,6 +198,17 @@ impl DecisionEvent {
     }
 }
 
+/// The line `tnet explain` and `-v` print:
+/// `[phase/cause] verdict subject: evidence`.
+impl fmt::Display for DecisionEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let phase = self.phase.map_or("-", Phase::label);
+        let rule = self.cause.map(|c| format!("/{}", c.label())).unwrap_or_default();
+        let subject = self.subject.map_or_else(|| "-".to_string(), |a| a.to_string());
+        write!(f, "[{phase}{rule}] {} {subject}: {}", self.verdict, self.evidence)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +240,17 @@ mod tests {
             evidence: String::new(),
         };
         assert_eq!(DecisionEvent::from_json(&bare.to_json()).unwrap(), bare);
+    }
+
+    #[test]
+    fn display_is_the_explain_line() {
+        let line = "stranger 10.0.3.7 expired the probe: fixed entry point violated";
+        assert_eq!(
+            sample().to_string(),
+            format!("[explore/h6] stopped_and_shrunk 10.0.3.7: {line}")
+        );
+        let bare = DecisionEvent { phase: None, cause: None, subject: None, ..sample() };
+        assert_eq!(bare.to_string(), format!("[-] stopped_and_shrunk -: {line}"));
     }
 
     #[test]

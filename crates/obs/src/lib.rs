@@ -11,20 +11,19 @@
 //!   attached.
 //! - [`decision::DecisionEvent`] — one record per algorithmic verdict of
 //!   the collection pipeline: which heuristic fired, on which address,
-//!   with what evidence. The stream `tnet explain` renders.
+//!   with what evidence. The stream `tnet explain` renders, and the
+//!   one the CLI's `-v`/`-vv` print as it happens.
 //! - [`exchange`] — the flight-recorder capture format: a versioned
 //!   JSONL log interleaving probes, decisions, and per-session reports,
 //!   parseable back into an [`exchange::ExchangeLog`] for deterministic
 //!   replay and run diffing.
 //! - [`sink::EventSink`] — pluggable event consumers: [`sink::NullSink`],
-//!   [`sink::VecSink`] (tests), [`sink::JsonlSink`] (streaming
-//!   JSON-lines), [`exchange::ExchangeSink`] (the flight recorder).
+//!   [`sink::VecSink`] (tests), [`exchange::ExchangeSink`] (the flight
+//!   recorder). Every human or machine view of a run — `--trace-log`,
+//!   `-v`/`-vv`, the exchange log — is a sink over the one stream.
 //! - [`metrics::Registry`] — thread-safe monotonic counters and
 //!   fixed-bucket histograms keyed by phase and heuristic — including
 //!   per-phase wall-tick latency — with human-table and JSON snapshots.
-//! - [`trace`] — a dependency-free `tracing`-style facade: levelled
-//!   spans and events behind one atomic check, rendered by an
-//!   installable subscriber (the CLI's `-v`/`-vv`).
 //! - [`ctx`] — thread-local phase/cause attribution that the collection
 //!   algorithms set and the probers read, so attribution needs no
 //!   signature changes through the `Prober` seam.
@@ -45,7 +44,6 @@ pub mod exchange;
 pub mod metrics;
 pub mod recorder;
 pub mod sink;
-pub mod trace;
 
 pub use ctx::{cause_scope, phase_scope};
 pub use decision::{DecisionEvent, DecisionVerdict};
@@ -53,5 +51,4 @@ pub use event::{Cause, Outcome, Phase, ProbeEvent, TimeoutCause, UnreachReason};
 pub use exchange::{ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, FORMAT_VERSION};
 pub use metrics::{CacheOutcome, MetricsSnapshot, Registry};
 pub use recorder::Recorder;
-pub use sink::{EventSink, JsonlSink, NullSink, SinkHandle, VecSink};
-pub use trace::Level;
+pub use sink::{EventSink, NullSink, SinkHandle, VecSink};

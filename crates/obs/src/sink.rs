@@ -1,6 +1,11 @@
-//! Event sinks: where probe events go.
+//! Event sinks: where probe and decision events go.
+//!
+//! A [`Recorder`](crate::Recorder) feeds one stream to one sink; every
+//! view of a run is a sink over that stream. The exchange log
+//! ([`crate::ExchangeSink`]) keeps all of it, and the CLI's
+//! `--trace-log` and `-v`/`-vv` print the parts they show.
 
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::decision::DecisionEvent;
@@ -10,15 +15,14 @@ use crate::event::ProbeEvent;
 ///
 /// Sinks receive every wire attempt a recorder-carrying prober makes.
 /// Implementations should be cheap per call; expensive work belongs
-/// behind buffering (see [`JsonlSink`]).
+/// behind buffering.
 pub trait EventSink: Send {
     /// Consumes one event.
     fn emit(&mut self, event: &ProbeEvent);
 
-    /// Consumes one decision event. Defaults to a no-op: most sinks
-    /// (including [`JsonlSink`], whose probe-log format promises one
-    /// line per wire probe) only care about wire traffic. The exchange
-    /// log overrides this to interleave decisions with probes.
+    /// Consumes one decision event. Defaults to a no-op, for sinks that
+    /// only care about wire traffic. The exchange log overrides this to
+    /// interleave decisions with probes.
     fn emit_decision(&mut self, _decision: &DecisionEvent) {}
 
     /// Flushes any buffered output; called at session boundaries.
@@ -88,45 +92,6 @@ impl EventSink for VecSink {
 
     fn emit_decision(&mut self, decision: &DecisionEvent) {
         self.decisions.lock().expect("VecSink lock").push(decision.clone());
-    }
-}
-
-/// Streams events as JSON lines — one [`ProbeEvent::to_json`] object
-/// per line — through a buffered writer.
-pub struct JsonlSink<W: Write + Send> {
-    writer: BufWriter<W>,
-    lines: u64,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink { writer: BufWriter::new(writer), lines: 0 }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-}
-
-impl JsonlSink<std::fs::File> {
-    /// Creates (truncating) a JSONL file at `path`.
-    pub fn create(path: &std::path::Path) -> io::Result<Self> {
-        Ok(JsonlSink::new(std::fs::File::create(path)?))
-    }
-}
-
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn emit(&mut self, event: &ProbeEvent) {
-        // An unwritable log should not take the collection session down;
-        // errors surface at flush time via the CLI's explicit flush.
-        let _ = writeln!(self.writer, "{}", event.to_json());
-        self.lines += 1;
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
     }
 }
 
@@ -243,22 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(&ev(3));
-        sink.emit(&ev(7));
-        assert_eq!(sink.lines(), 2);
-        sink.flush().unwrap();
-        let bytes = sink.writer.into_inner().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let parsed: Vec<ProbeEvent> = text
-            .lines()
-            .map(|l| ProbeEvent::from_json(&serde_json::from_str(l).unwrap()).unwrap())
-            .collect();
-        assert_eq!(parsed, vec![ev(3), ev(7)]);
-    }
-
-    #[test]
     fn vec_sink_stores_decisions_separately() {
         let sink = VecSink::new();
         let reader = sink.clone();
@@ -267,13 +216,5 @@ mod tests {
         handle.emit_decision(&decision());
         assert_eq!(reader.len(), 1, "decisions do not count as probe events");
         assert_eq!(reader.decisions().len(), 1);
-    }
-
-    #[test]
-    fn jsonl_sink_ignores_decisions_keeping_one_line_per_probe() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(&ev(3));
-        sink.emit_decision(&decision());
-        assert_eq!(sink.lines(), 1);
     }
 }

@@ -1,12 +1,16 @@
-//! The JSONL sink under concurrent writers: interleaved sessions must
-//! produce a torn-free line stream whose event count agrees exactly
-//! with the metrics registry, and whose per-session content is
-//! reproducible from the fixed seed that generated it.
+//! The exchange log under concurrent writers, as `record --jobs N`
+//! drives it: interleaved sessions must produce a torn-free line stream
+//! whose probe count agrees exactly with the metrics registry, and
+//! whose per-session content is reproducible from the fixed seed that
+//! generated it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use inet::Addr;
-use obs::{JsonlSink, Outcome, Phase, ProbeEvent, Recorder, Registry, SinkHandle};
+use obs::{
+    ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, Outcome, Phase, ProbeEvent,
+    Recorder, Registry, SinkHandle, FORMAT_VERSION,
+};
 use wire::Protocol;
 
 const SEED: u64 = 424242;
@@ -43,10 +47,19 @@ fn event(session: u64, n: u64) -> ProbeEvent {
 fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
     let path =
         std::env::temp_dir().join(format!("tracenet-obs-concurrency-{}.jsonl", std::process::id()));
-    let sink = JsonlSink::create(&path).expect("create sink");
+    let header = ExchangeHeader {
+        version: FORMAT_VERSION,
+        vantage: Addr::from_u32(0x0a00_0001),
+        protocol: Protocol::Icmp,
+        targets: (0..WRITERS).map(|k| Addr::from_u32(0x0a00_0100 + k as u32)).collect(),
+        jobs: WRITERS,
+        options: serde_json::Value::Null,
+    };
+    let writer = Arc::new(Mutex::new(ExchangeWriter::create(&path, &header).expect("create log")));
     let registry = Arc::new(Registry::new());
-    let recorder =
-        Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&registry));
+    let recorder = Recorder::new()
+        .with_sink(SinkHandle::new(ExchangeSink::new(Arc::clone(&writer))))
+        .with_metrics(Arc::clone(&registry));
 
     std::thread::scope(|scope| {
         for session in 0..WRITERS {
@@ -61,31 +74,28 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
     });
     recorder.flush().expect("flush");
 
-    // Every line parses back as a complete ProbeEvent — no torn or
-    // interleaved partial writes.
-    let text = std::fs::read_to_string(&path).expect("read log");
-    let mut per_session: Vec<Vec<ProbeEvent>> = (0..WRITERS).map(|_| Vec::new()).collect();
-    let mut total = 0u64;
-    for line in text.lines() {
-        let value: serde_json::Value = serde_json::from_str(line).expect("line is whole JSON");
-        let ev = ProbeEvent::from_json(&value).expect("line is a ProbeEvent");
+    // Every line parses back whole — no torn or interleaved partial
+    // writes — and every event carries its session tag.
+    let log = ExchangeLog::load(&path).expect("every line is a whole exchange-log line");
+    assert_eq!(log.header, header);
+    for ev in &log.events {
         let session = ev.session.expect("every event carries its session tag");
         assert!(session < WRITERS, "unknown session {session}");
-        per_session[session as usize].push(ev);
-        total += 1;
     }
 
     // The line count equals what the registry metered.
+    let total = log.events.len() as u64;
     assert_eq!(total, WRITERS * EVENTS_PER_WRITER);
     assert_eq!(registry.snapshot().sent_total(), total);
 
     // Within a session, emission order is preserved and every event is
     // exactly the one the fixed seed generates — the stream replays.
-    for (session, events) in per_session.iter().enumerate() {
+    for session in 0..WRITERS {
+        let events: Vec<&ProbeEvent> = log.events_for(session).collect();
         assert_eq!(events.len() as u64, EVENTS_PER_WRITER, "session {session}");
-        for (n, ev) in events.iter().enumerate() {
-            let mut expected = event(session as u64, n as u64);
-            expected.session = Some(session as u64);
+        for (n, ev) in events.into_iter().enumerate() {
+            let mut expected = event(session, n as u64);
+            expected.session = Some(session);
             expected.phase = Some(Phase::Trace);
             assert_eq!(*ev, expected, "session {session} event {n}");
         }

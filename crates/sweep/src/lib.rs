@@ -5,8 +5,8 @@
 //! sessions share most of their path — so this crate adds the two
 //! pieces that make batch collection cheap and safe:
 //!
-//! - a [`SubnetCache`] that remembers accepted subnets and per-hop
-//!   outcomes **across sessions**, extending the within-session
+//! - a [`SubnetCache`] that remembers per-hop exploration outcomes
+//!   **across sessions**, extending the within-session
 //!   `reuse_known_subnets` skip to the whole batch (and, via the
 //!   [`tracenet::SubnetStore`] seam, to anything longer-lived); and
 //! - a worker-pool scheduler ([`run_batch`]) that fans targets across

@@ -7,12 +7,12 @@ use std::sync::Arc;
 use evalkit::accounting::{ip_accounting, prefix_length_series, subnet_count, IpAccounting};
 use evalkit::classify::{classify, SubnetTable};
 use evalkit::crossval::VennPartition;
-use evalkit::run::{run_tracenet, run_tracenet_batch, run_tracenet_with, CollectedSet};
+use evalkit::run::{run_tracenet, CollectedSet};
 use evalkit::similarity::{prefix_similarity, size_similarity, PrefixBounds};
 use inet::Prefix;
 use netsim::Network;
-use probe::{Protocol, SharedNetwork};
-use sweep::{BatchConfig, CacheStats};
+use probe::Protocol;
+use sweep::{run_batch, BatchConfig, CacheStats};
 use topogen::{geant, internet2, isp_internet, GtSubnet, Scenario, ISP_NAMES};
 use tracenet::TracenetOptions;
 
@@ -37,19 +37,22 @@ pub struct AccuracyResult {
     /// §4.1.1 audit cross-check: (agreements with generator intent,
     /// subnets audited).
     pub audit_agreement: (usize, usize),
-    /// Cross-session subnet-cache counters (all zero on the sequential
-    /// no-cache path).
+    /// Cross-session subnet-cache counters (all zero with the cache
+    /// off).
     pub cache: CacheStats,
     /// Simulated wall ticks the collection consumed (the network clock
     /// after the run, before the audit sweeps).
     pub wall_ticks: u64,
 }
 
-/// Parsed arguments shared by the batch-engine reproduction binaries.
+/// How an experiment collects: the seed plus the batch-engine
+/// configuration every vantage's target list runs under.
 ///
-/// A bare number is the experiment seed; the fault and retry flags
-/// mirror the CLI's, so a figure can be regenerated under injected
-/// faults for robustness comparisons.
+/// [`ExpArgs::sequential`] is the paper's collection order (one job,
+/// cache off, no faults) that `table1`, `similarity`, `fig6`, `fig7` and
+/// `repro_all` use; [`batch_args`] parses the command line of the binaries that
+/// expose the batch engine's flags, so a figure can be regenerated with
+/// workers, the subnet cache or injected faults.
 pub struct ExpArgs {
     /// Experiment seed (topology, targets, and the default fault seed).
     pub seed: u64,
@@ -57,6 +60,17 @@ pub struct ExpArgs {
     pub cfg: BatchConfig,
     /// Seeded fault plan to attach to the simulated network, if any.
     pub fault: Option<netsim::FaultPlan>,
+}
+
+impl ExpArgs {
+    /// One job, cache off, default options, no faults.
+    pub fn sequential(seed: u64) -> ExpArgs {
+        ExpArgs {
+            seed,
+            cfg: BatchConfig { jobs: 1, use_cache: false, ..BatchConfig::default() },
+            fault: None,
+        }
+    }
 }
 
 const EXP_USAGE: &str = "usage: [seed] [--jobs N] [--no-cache] \
@@ -74,15 +88,16 @@ fn num(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
         .unwrap_or_else(|| bail(&format!("{flag} needs a number")))
 }
 
-/// Argument parsing shared by the reproduction binaries; exits with the
-/// usage line on malformed input.
+/// Argument parsing shared by the binaries that expose the batch
+/// engine's flags (default: one job, cache on); exits with the usage
+/// line on malformed input.
 pub fn batch_args() -> ExpArgs {
     let mut seed = SEED;
     let mut cfg = BatchConfig::default();
-    let mut profile: Option<netsim::FaultProfile> = None;
+    let mut profile: Option<String> = None;
     let mut fault_seed: Option<u64> = None;
     let mut retries: Option<u8> = None;
-    let mut backoff = "none".to_string();
+    let mut backoff: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -90,14 +105,10 @@ pub fn batch_args() -> ExpArgs {
             "--no-cache" => cfg.use_cache = false,
             "--retries" => retries = Some(num(&mut args, "--retries") as u8),
             "--backoff" => {
-                backoff = args.next().unwrap_or_else(|| bail("--backoff needs a mode"));
+                backoff = Some(args.next().unwrap_or_else(|| bail("--backoff needs a mode")));
             }
             "--fault-profile" => {
-                let name = args.next().unwrap_or_else(|| bail("--fault-profile needs a name"));
-                profile = Some(
-                    netsim::FaultProfile::by_name(&name)
-                        .unwrap_or_else(|| bail(&format!("unknown fault profile {name:?}"))),
-                );
+                profile = Some(args.next().unwrap_or_else(|| bail("--fault-profile needs a name")));
             }
             "--fault-seed" => fault_seed = Some(num(&mut args, "--fault-seed")),
             "--fault-budget" => {
@@ -109,43 +120,33 @@ pub fn batch_args() -> ExpArgs {
             },
         }
     }
-    let retries = retries.unwrap_or(probe::DEFAULT_RETRIES);
-    cfg.retry = match backoff.as_str() {
-        "none" => probe::RetryPolicy::Fixed { retries },
-        "exp" => probe::RetryPolicy::Backoff { retries, base: 8 },
-        "adaptive" => {
-            probe::RetryPolicy::Adaptive { min: probe::DEFAULT_RETRIES.min(retries), max: retries }
-        }
-        other => bail(&format!("unknown backoff mode {other:?}")),
-    };
-    let fault = match (profile, fault_seed) {
-        (Some(p), s) => Some(p.plan(s.unwrap_or(seed))),
-        (None, Some(s)) => Some(netsim::FaultPlan::new(s)),
-        (None, None) => None,
-    };
+    cfg.retry =
+        probe::RetryPolicy::from_flags(retries, backoff.as_deref()).unwrap_or_else(|e| bail(&e));
+    let fault = netsim::FaultPlan::from_flags(profile.as_deref(), fault_seed, seed)
+        .unwrap_or_else(|e| bail(&e));
     ExpArgs { seed, cfg, fault }
 }
 
-/// Runs the Table 1 (Internet2) or Table 2 (GEANT) experiment, including
-/// the paper's §4.1.1 post-collection audit: every missing or
-/// underestimated subnet's address range is ping-swept and the
-/// `∖unrs` table rows come from that measurement.
-pub fn accuracy_experiment(scenario: Scenario) -> AccuracyResult {
+/// Runs the Table 1 (Internet2) or Table 2 (GEANT) experiment on the
+/// batch engine under `args`, including the paper's §4.1.1
+/// post-collection audit: every missing or underestimated subnet's
+/// address range is ping-swept and the `∖unrs` table rows come from that
+/// measurement. The conformance suite pins the collected set (and so
+/// the table) equal for every jobs and cache setting; only the probe
+/// budget shrinks with the cache. With a fault plan attached the run
+/// degrades gracefully instead, and the table quantifies what the faults
+/// cost.
+pub fn accuracy_experiment(scenario: Scenario, args: &ExpArgs) -> AccuracyResult {
     let network = scenario.name.clone();
     let vantage = scenario.vantages[0].1;
-    let targets = scenario.targets.clone();
     let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
 
-    let net = Network::new(scenario.topology.clone());
+    let mut net = Network::new(scenario.topology.clone());
+    net.set_fault_plan(args.fault);
     let registry = Arc::new(obs::Registry::new());
-    let collected = run_tracenet_with(
-        &net,
-        vantage,
-        &targets,
-        Protocol::Icmp,
-        &TracenetOptions::default(),
-        &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-    );
+    let recorder = obs::Recorder::new().with_metrics(Arc::clone(&registry));
+    let batch = run_batch(&net, vantage, &scenario.targets, &args.cfg, &recorder);
+    let collected = CollectedSet::from_batch(&batch);
     let wall_ticks = net.tick();
     let mut classifications = classify(&gt, &collected.records());
 
@@ -164,62 +165,19 @@ pub fn accuracy_experiment(scenario: Scenario) -> AccuracyResult {
         probes: collected.probes,
         metrics: registry.snapshot(),
         audit_agreement,
-        cache: CacheStats::default(),
-        wall_ticks,
-    }
-}
-
-/// [`accuracy_experiment`] on the batch engine: targets fanned over
-/// `cfg.jobs` workers sharing the cross-session subnet cache. The
-/// conformance suite guarantees the collected set (and therefore the
-/// table) matches the sequential run; only the probe budget shrinks.
-/// With a fault plan attached the run degrades gracefully instead,
-/// and the table quantifies what the faults cost.
-pub fn accuracy_experiment_with(scenario: Scenario, args: &ExpArgs) -> AccuracyResult {
-    let network = scenario.name.clone();
-    let vantage = scenario.vantages[0].1;
-    let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
-
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(args.fault);
-    let shared = SharedNetwork::new(net);
-    let registry = Arc::new(obs::Registry::new());
-    let (collected, cache) = run_tracenet_batch(
-        &shared,
-        vantage,
-        &scenario.targets,
-        &args.cfg,
-        &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-    );
-    let wall_ticks = shared.tick();
-    let mut classifications = classify(&gt, &collected.records());
-
-    let mut auditor = shared.prober(vantage, probe::Protocol::Icmp);
-    let log = evalkit::audit::audit_classifications(&mut auditor, &mut classifications);
-    let audit_agreement = evalkit::audit::audit_agreement(&log, &gt);
-
-    let bounds = PrefixBounds::from_classifications(&classifications);
-    AccuracyResult {
-        network,
-        table: SubnetTable::build(&classifications),
-        prefix_similarity: prefix_similarity(&classifications, bounds),
-        size_similarity: size_similarity(&classifications, bounds),
-        probes: collected.probes,
-        metrics: registry.snapshot(),
-        audit_agreement,
-        cache,
+        cache: batch.cache,
         wall_ticks,
     }
 }
 
 /// Table 1: Internet2.
 pub fn table1(seed: u64) -> AccuracyResult {
-    accuracy_experiment(internet2(seed))
+    accuracy_experiment(internet2(seed), &ExpArgs::sequential(seed))
 }
 
 /// Table 2: GEANT.
 pub fn table2(seed: u64) -> AccuracyResult {
-    accuracy_experiment(geant(seed))
+    accuracy_experiment(geant(seed), &ExpArgs::sequential(seed))
 }
 
 /// The address region of one ISP (first octet, per `topogen::isp`).
@@ -242,9 +200,9 @@ pub struct VantageRun {
     pub collected: CollectedSet,
     /// Per-phase probe accounting for this vantage's collection.
     pub metrics: obs::MetricsSnapshot,
-    /// Cross-session subnet-cache counters (zero on the sequential
-    /// no-cache path; each vantage keeps its own cache, so Figure 6's
-    /// cross-validation stays honest).
+    /// Cross-session subnet-cache counters (zero with the cache off;
+    /// each vantage keeps its own cache, so Figure 6's cross-validation
+    /// stays honest).
     pub cache: CacheStats,
     /// Simulated wall ticks this vantage's collection consumed (the
     /// shared clock advance attributable to this run).
@@ -264,41 +222,13 @@ pub struct IspExperiment {
 /// every this many packets the per-flow hash epoch advances).
 pub const ISP_FLUCTUATION_PERIOD: u64 = 20_000;
 
-/// Runs the three-vantage ISP experiment (backs Figures 6–9).
-pub fn isp_experiment(seed: u64) -> IspExperiment {
-    let scenario = isp_internet(seed);
-    let net = Network::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
-    let mut runs = Vec::new();
-    let mut tick_before = net.tick();
-    for (name, addr) in scenario.vantages.clone() {
-        let registry = Arc::new(obs::Registry::new());
-        let collected = run_tracenet_with(
-            &net,
-            addr,
-            &scenario.targets,
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-            &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-        );
-        let tick_after = net.tick();
-        runs.push(VantageRun {
-            vantage: name,
-            collected,
-            metrics: registry.snapshot(),
-            cache: CacheStats::default(),
-            wall_ticks: tick_after - tick_before,
-        });
-        tick_before = tick_after;
-    }
-    IspExperiment { scenario, runs }
-}
-
-/// [`isp_experiment`] on the batch engine: each vantage's target list is
-/// fanned over `cfg.jobs` workers against the shared fluctuating
-/// internet, with a per-vantage subnet cache. A fault plan from the
-/// arguments is attached to the shared network, so all three vantages
-/// see the same seeded fault schedule.
-pub fn isp_experiment_with(args: &ExpArgs) -> IspExperiment {
+/// Runs the three-vantage ISP experiment (backs Figures 6–9) on the
+/// batch engine: each vantage's target list runs under `args.cfg`
+/// against the shared fluctuating internet, with a per-vantage subnet
+/// cache when the cache is on. A fault plan from the arguments is
+/// attached to the shared network, so all three vantages see the same
+/// seeded fault schedule.
+pub fn isp_experiment(args: &ExpArgs) -> IspExperiment {
     let scenario = isp_internet(args.seed);
     let mut net = Network::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
     net.set_fault_plan(args.fault);
@@ -306,19 +236,14 @@ pub fn isp_experiment_with(args: &ExpArgs) -> IspExperiment {
     let mut tick_before = net.tick();
     for (name, addr) in scenario.vantages.clone() {
         let registry = Arc::new(obs::Registry::new());
-        let (collected, cache) = run_tracenet_batch(
-            &net,
-            addr,
-            &scenario.targets,
-            &args.cfg,
-            &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-        );
+        let recorder = obs::Recorder::new().with_metrics(Arc::clone(&registry));
+        let batch = run_batch(&net, addr, &scenario.targets, &args.cfg, &recorder);
         let tick_after = net.tick();
         runs.push(VantageRun {
             vantage: name,
-            collected,
+            collected: CollectedSet::from_batch(&batch),
             metrics: registry.snapshot(),
-            cache,
+            cache: batch.cache,
             wall_ticks: tick_after - tick_before,
         });
         tick_before = tick_after;

@@ -80,12 +80,16 @@ impl Opts {
         }
     }
 
+    /// A parsed flag value, if the flag was given.
+    pub fn flag_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.flag(name)
+            .map(|v| v.parse().map_err(|_| format!("invalid value for --{name}: {v:?}")))
+            .transpose()
+    }
+
     /// A parsed flag value with a default.
     pub fn flag_parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid value for --{name}: {v:?}")),
-        }
+        Ok(self.flag_opt(name)?.unwrap_or(default))
     }
 
     /// A required flag value, parsed.

@@ -27,48 +27,34 @@ fn protocol(opts: &Opts) -> Result<Protocol, String> {
     }
 }
 
-/// Parses `--retries` / `--backoff` into a retry policy. `--retries N`
-/// is the re-probe budget (the adaptive mode's maximum); `--backoff`
-/// picks the shape: `none` (back-to-back, the paper's behavior), `exp`
-/// (exponential idle before each retry), or `adaptive` (budget widens
-/// with the recent timeout rate).
+/// Parses `--retries` / `--backoff` into a retry policy (see
+/// [`probe::RetryPolicy::from_flags`]).
 fn retry_policy(opts: &Opts) -> Result<probe::RetryPolicy, String> {
-    let retries = opts.flag_parse("retries", probe::DEFAULT_RETRIES)?;
-    match opts.flag("backoff").unwrap_or("none") {
-        "none" => Ok(probe::RetryPolicy::Fixed { retries }),
-        "exp" => Ok(probe::RetryPolicy::Backoff { retries, base: 8 }),
-        "adaptive" => Ok(probe::RetryPolicy::Adaptive {
-            min: probe::DEFAULT_RETRIES.min(retries),
-            max: retries,
-        }),
-        other => Err(format!("unknown backoff mode {other:?} (none|exp|adaptive)")),
-    }
+    probe::RetryPolicy::from_flags(opts.flag_opt("retries")?, opts.flag("backoff"))
 }
 
-/// Parses `--fault-profile` / `--fault-seed` into a fault plan. A seed
-/// without a profile attaches an all-zero plan (a no-op, useful for
-/// byte-identity checks); a profile without a seed uses seed 2010.
-fn fault_plan(opts: &Opts) -> Result<Option<netsim::FaultPlan>, String> {
-    let seed = opts.flag_parse("fault-seed", 2010u64)?;
-    match opts.flag("fault-profile") {
-        None if opts.flag("fault-seed").is_some() => Ok(Some(netsim::FaultPlan::new(seed))),
-        None => Ok(None),
-        Some(name) => match netsim::FaultProfile::by_name(name) {
-            Some(profile) => Ok(Some(profile.plan(seed))),
-            None => {
-                let known: Vec<&str> = netsim::FaultProfile::ALL.iter().map(|p| p.name()).collect();
-                Err(format!("unknown fault profile {name:?} (one of: {})", known.join("|")))
-            }
-        },
-    }
+/// The scenario's network with the `--fault-profile` / `--fault-seed`
+/// plan attached (see [`netsim::FaultPlan::from_flags`]); a profile
+/// without a seed uses seed 2010.
+fn network(scenario: &Scenario, opts: &Opts) -> Result<Network, String> {
+    let plan = netsim::FaultPlan::from_flags(
+        opts.flag("fault-profile"),
+        opts.flag_opt("fault-seed")?,
+        2010,
+    )?;
+    let mut net = Network::new(scenario.topology.clone());
+    net.set_fault_plan(plan);
+    Ok(net)
 }
 
-/// Parses `--fault-budget N` (absent means probe to exhaustion).
-fn fault_budget(opts: &Opts) -> Result<Option<u16>, String> {
-    match opts.flag("fault-budget") {
-        Some(_) => Ok(Some(opts.flag_parse::<u16>("fault-budget", 0)?)),
-        None => Ok(None),
-    }
+/// Session options from `--max-ttl` and `--fault-budget N` (absent
+/// means probe to exhaustion).
+fn session_options(opts: &Opts) -> Result<TracenetOptions, String> {
+    Ok(TracenetOptions {
+        max_ttl: opts.flag_parse("max-ttl", TracenetOptions::default().max_ttl)?,
+        hop_fault_budget: opts.flag_opt("fault-budget")?,
+        ..TracenetOptions::default()
+    })
 }
 
 /// Parses `--targets A,B,..`, defaulting to the scenario's target list.
@@ -244,17 +230,21 @@ fn recorder_from(opts: &Opts) -> Result<(obs::Recorder, Option<MetricsOut>), Str
     Ok((recorder, metrics))
 }
 
-/// `tracenet trace <scenario> (--target A | --all) [...]`
+/// `tracenet trace <scenario> (--target A | --all) [...]` — one session
+/// per target on the batch engine, at one job with the subnet cache off:
+/// the reports, printed in target order, are exactly the ones `record
+/// --jobs 1` writes.
 pub fn trace(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
-    let proto = protocol(opts)?;
-    let tn_opts = TracenetOptions {
-        max_ttl: opts.flag_parse("max-ttl", TracenetOptions::default().max_ttl)?,
-        hop_fault_budget: fault_budget(opts)?,
-        ..TracenetOptions::default()
+    let cfg = sweep::BatchConfig {
+        jobs: 1,
+        use_cache: false,
+        protocol: protocol(opts)?,
+        opts: session_options(opts)?,
+        retry: retry_policy(opts)?,
+        ..sweep::BatchConfig::default()
     };
-    let retry = retry_policy(opts)?;
     let (recorder, metrics) = recorder_from(opts)?;
 
     let targets: Vec<Addr> = if opts.has("all") {
@@ -265,34 +255,20 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
         })?]
     };
 
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(fault_plan(opts)?);
-    let mut out = String::new();
-    let mut reports = Vec::new();
-    for (k, &target) in targets.iter().enumerate() {
-        let recorder = recorder.clone().with_session(k as u64);
-        let mut prober = SimProber::with_protocol(&net, v, proto)
-            .ident(k as u16 ^ 0x7ace)
-            .retry_policy(retry)
-            .recorder(recorder.clone());
-        let report = Session::new(&mut prober, tn_opts).with_recorder(recorder.clone()).run(target);
-        if opts.has("json") {
-            reports.push(report_to_json(&report));
-        } else {
-            out.push_str(&report.to_string());
-            out.push('\n');
-        }
-    }
+    let net = network(&scenario, opts)?;
+    let reports = sweep::run_batch(&net, v, &targets, &cfg, &recorder).reports;
     recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
-    if let Some(m) = &metrics {
-        let table = m.write()?;
-        if !opts.has("json") {
-            out.push_str(&table);
-        }
-    }
+    let metrics_table = match &metrics {
+        Some(m) => m.write()?,
+        None => String::new(),
+    };
     if opts.has("json") {
-        return Ok(serde_json::Value::Array(reports).to_string());
+        return Ok(
+            serde_json::Value::Array(reports.iter().map(report_to_json).collect()).to_string()
+        );
     }
+    let mut out: String = reports.iter().map(|r| format!("{r}\n")).collect();
+    out.push_str(&metrics_table);
     Ok(out)
 }
 
@@ -392,8 +368,10 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
     let proto = protocol(opts)?;
     let (recorder, metrics) = recorder_from(opts)?;
     let targets = targets_from(&scenario, opts)?;
-    let tn_opts =
-        TracenetOptions { hop_fault_budget: fault_budget(opts)?, ..TracenetOptions::default() };
+    let tn_opts = TracenetOptions {
+        hop_fault_budget: opts.flag_opt("fault-budget")?,
+        ..TracenetOptions::default()
+    };
     let cfg = sweep::BatchConfig {
         jobs: opts.flag_parse("jobs", 4usize)?,
         use_cache: !opts.has("no-cache"),
@@ -404,9 +382,9 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
         // the batch latency-bound (where --jobs overlaps the waits).
         probe_rtt: std::time::Duration::from_micros(opts.flag_parse("rtt-us", 0u64)?),
     };
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(fault_plan(opts)?);
-    let (collected, cache) = evalkit::run::run_tracenet_batch(&net, v, &targets, &cfg, &recorder);
+    let net = network(&scenario, opts)?;
+    let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
+    let (collected, cache) = (evalkit::CollectedSet::from_batch(&result), result.cache);
     recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
     let metrics_table = match &metrics {
         Some(m) => m.write()?,
@@ -451,17 +429,23 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
 }
 
 /// `tracenet map <scenario> [--vantage NAME] [--protocol ...]` — trace
-/// every scenario target and emit the assembled subnet-level topology
-/// map as Graphviz DOT.
+/// every scenario target on the batch engine (one job, cache off, as
+/// `trace --all`) and emit the assembled subnet-level topology map as
+/// Graphviz DOT.
 pub fn map(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
-    let proto = protocol(opts)?;
+    let cfg = sweep::BatchConfig {
+        jobs: 1,
+        use_cache: false,
+        protocol: protocol(opts)?,
+        ..sweep::BatchConfig::default()
+    };
     let net = Network::new(scenario.topology.clone());
     let mut graph = evalkit::graph::SubnetGraph::new();
-    for (k, &target) in scenario.targets.iter().enumerate() {
-        let mut prober = SimProber::with_protocol(&net, v, proto).ident(k as u16 ^ 0x3a90);
-        let report = Session::new(&mut prober, TracenetOptions::default()).run(target);
+    for report in
+        sweep::run_batch(&net, v, &scenario.targets, &cfg, &obs::Recorder::disabled()).reports
+    {
         graph.add_report(&report);
     }
     Ok(graph.to_dot(&format!(
@@ -612,11 +596,7 @@ pub fn record(opts: &Opts) -> Result<String, String> {
     if targets.is_empty() {
         return Err("nothing to record: scenario has no targets".to_string());
     }
-    let tn_opts = TracenetOptions {
-        max_ttl: opts.flag_parse("max-ttl", TracenetOptions::default().max_ttl)?,
-        hop_fault_budget: fault_budget(opts)?,
-        ..TracenetOptions::default()
-    };
+    let tn_opts = session_options(opts)?;
     let jobs = opts.flag_parse("jobs", 1usize)?;
     let header = obs::ExchangeHeader {
         version: obs::FORMAT_VERSION,
@@ -643,8 +623,7 @@ pub fn record(opts: &Opts) -> Result<String, String> {
         retry: retry_policy(opts)?,
         probe_rtt: std::time::Duration::ZERO,
     };
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(fault_plan(opts)?);
+    let net = network(&scenario, opts)?;
     let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     let mut w = writer.lock().map_err(|_| "exchange log writer poisoned".to_string())?;
     for (k, report) in result.reports.iter().enumerate() {

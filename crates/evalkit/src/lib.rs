@@ -21,8 +21,9 @@
 //! * [`graph`] — the subnet-level topology map assembled from sessions
 //!   (nodes = collected subnets, edges = consecutive-hop adjacency),
 //!   with Graphviz DOT export;
-//! * [`run`] — experiment drivers: run tracenet (or traceroute) over a
-//!   scenario's target list and collect the deduplicated subnet set.
+//! * [`run`] — the deduplicated subnet set a `sweep::run_batch` result
+//!   folds into ([`CollectedSet::from_batch`]), the sequential
+//!   `run_tracenet` shorthand, and the traceroute baseline driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,15 @@
-//! Experiment drivers: run tracenet or traceroute over a target list and
-//! collect the deduplicated subnet set.
+//! Folding collections into subnet sets: [`CollectedSet`] deduplicates
+//! what a `sweep::run_batch` result observed. `sweep::run_batch` is the
+//! one tracenet collection loop and [`run_tracenet`] its sequential
+//! shorthand; [`run_traceroute`] drives the traceroute baseline.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use inet::{Addr, Prefix, SubnetRecord};
 use netsim::Network;
+use obs::Recorder;
 use probe::{Prober, Protocol, SimProber};
-use sweep::{BatchConfig, BatchResult, CacheStats};
+use sweep::{BatchConfig, BatchResult};
 use tracenet::{TraceReport, TracenetOptions};
 use traceroute::{TracerouteOptions, TracerouteReport};
 
@@ -115,7 +118,10 @@ impl CollectedSet {
 }
 
 /// Runs one tracenet session per target from `vantage` and folds the
-/// results.
+/// results: shorthand for [`sweep::run_batch`] at one job with the
+/// subnet cache off and no recorder, for tests and examples. Callers
+/// that want workers, the cache, telemetry or the cache counters call
+/// `run_batch` and fold its result with [`CollectedSet::from_batch`].
 pub fn run_tracenet(
     net: &Network,
     vantage: Addr,
@@ -123,39 +129,9 @@ pub fn run_tracenet(
     protocol: Protocol,
     opts: &TracenetOptions,
 ) -> CollectedSet {
-    run_tracenet_with(net, vantage, targets, protocol, opts, &obs::Recorder::disabled())
-}
-
-/// [`run_tracenet`] with a probe-telemetry recorder attached to every
-/// prober and session: the experiment binaries hang a metrics registry
-/// (and optionally a JSONL sink) on it and read per-phase numbers from
-/// the registry snapshot afterwards.
-pub fn run_tracenet_with(
-    net: &Network,
-    vantage: Addr,
-    targets: &[Addr],
-    protocol: Protocol,
-    opts: &TracenetOptions,
-    recorder: &obs::Recorder,
-) -> CollectedSet {
     let cfg =
         BatchConfig { jobs: 1, use_cache: false, protocol, opts: *opts, ..BatchConfig::default() };
-    CollectedSet::from_batch(&sweep::run_batch(net, vantage, targets, &cfg, recorder))
-}
-
-/// Batch collection over a shared network: the worker-pool engine with
-/// the cross-session subnet cache, folded into a [`CollectedSet`]. The
-/// conformance suite pins this equal to [`run_tracenet`] on the subnet
-/// level; only probe counts may differ (cached ≤ uncached).
-pub fn run_tracenet_batch(
-    net: &Network,
-    vantage: Addr,
-    targets: &[Addr],
-    cfg: &BatchConfig,
-    recorder: &obs::Recorder,
-) -> (CollectedSet, CacheStats) {
-    let batch = sweep::run_batch(net, vantage, targets, cfg, recorder);
-    (CollectedSet::from_batch(&batch), batch.cache)
+    CollectedSet::from_batch(&sweep::run_batch(net, vantage, targets, &cfg, &Recorder::disabled()))
 }
 
 /// Runs one traceroute per target (the baseline's view of the same
@@ -205,19 +181,15 @@ mod tests {
     }
 
     #[test]
-    fn recorder_variant_accounts_every_probe() {
+    fn folded_batch_accounts_every_probe() {
         let (topo, names) = samples::chain(3);
         let net = Network::new(topo);
         let metrics = std::sync::Arc::new(obs::Registry::new());
-        let recorder = obs::Recorder::new().with_metrics(std::sync::Arc::clone(&metrics));
-        let set = run_tracenet_with(
-            &net,
-            names.addr("vantage"),
-            &[names.addr("dest")],
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-            &recorder,
-        );
+        let recorder = Recorder::new().with_metrics(std::sync::Arc::clone(&metrics));
+        let cfg = BatchConfig { use_cache: false, ..BatchConfig::default() };
+        let batch =
+            sweep::run_batch(&net, names.addr("vantage"), &[names.addr("dest")], &cfg, &recorder);
+        let set = CollectedSet::from_batch(&batch);
         let snap = metrics.snapshot();
         assert_eq!(snap.sent_total(), set.probes);
         assert_eq!(snap.sent_unattributed(), 0);

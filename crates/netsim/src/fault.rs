@@ -118,6 +118,29 @@ impl FaultPlan {
         }
     }
 
+    /// Maps the `--fault-profile NAME` / `--fault-seed N` command-line
+    /// pair to a plan. A seed without a profile gives an all-zero plan (a
+    /// no-op, useful for byte-identity checks); a profile without a seed
+    /// uses `default_seed`; neither gives no plan. An unknown profile
+    /// name is an error that lists the known ones.
+    pub fn from_flags(
+        profile: Option<&str>,
+        seed: Option<u64>,
+        default_seed: u64,
+    ) -> Result<Option<FaultPlan>, String> {
+        match (profile, seed) {
+            (None, None) => Ok(None),
+            (None, Some(seed)) => Ok(Some(FaultPlan::new(seed))),
+            (Some(name), seed) => match FaultProfile::by_name(name) {
+                Some(profile) => Ok(Some(profile.plan(seed.unwrap_or(default_seed)))),
+                None => {
+                    let known: Vec<&str> = FaultProfile::ALL.iter().map(|p| p.name()).collect();
+                    Err(format!("unknown fault profile {name:?} (one of: {})", known.join("|")))
+                }
+            },
+        }
+    }
+
     /// Whether the plan injects nothing at all.
     pub fn is_zero(&self) -> bool {
         self.forward_loss == 0.0
@@ -383,5 +406,18 @@ mod tests {
         assert_eq!(FaultProfile::by_name("nonsense"), None);
         assert!(FaultProfile::None.plan(1).is_zero());
         assert!(!FaultProfile::Chaos.plan(1).is_zero());
+    }
+
+    #[test]
+    fn flags_map_to_plans() {
+        assert_eq!(FaultPlan::from_flags(None, None, 9), Ok(None));
+        assert_eq!(FaultPlan::from_flags(None, Some(3), 9), Ok(Some(FaultPlan::new(3))));
+        let chaos = Some(FaultProfile::Chaos.plan(9));
+        assert_eq!(FaultPlan::from_flags(Some("chaos"), None, 9), Ok(chaos));
+        let seeded = Some(FaultProfile::Chaos.plan(4));
+        assert_eq!(FaultPlan::from_flags(Some("chaos"), Some(4), 9), Ok(seeded));
+        let err = FaultPlan::from_flags(Some("nonsense"), None, 9).unwrap_err();
+        assert!(err.contains("\"nonsense\""), "{err}");
+        assert!(err.contains("light-loss|heavy-loss"), "{err}");
     }
 }

@@ -60,6 +60,26 @@ impl Default for RetryPolicy {
     }
 }
 
+impl RetryPolicy {
+    /// Maps the `--retries N` / `--backoff none|exp|adaptive` command-line
+    /// pair to a policy. `retries` is the re-probe budget (the adaptive
+    /// mode's maximum; absent means [`DEFAULT_RETRIES`]); `backoff` picks
+    /// the shape: `none` (back-to-back, the paper's behavior and the
+    /// default), `exp` (exponential idle before each retry), or
+    /// `adaptive` (budget widens with the recent timeout rate).
+    pub fn from_flags(retries: Option<u8>, backoff: Option<&str>) -> Result<RetryPolicy, String> {
+        let retries = retries.unwrap_or(DEFAULT_RETRIES);
+        match backoff.unwrap_or("none") {
+            "none" => Ok(RetryPolicy::Fixed { retries }),
+            "exp" => Ok(RetryPolicy::Backoff { retries, base: 8 }),
+            "adaptive" => {
+                Ok(RetryPolicy::Adaptive { min: DEFAULT_RETRIES.min(retries), max: retries })
+            }
+            other => Err(format!("unknown backoff mode {other:?} (none|exp|adaptive)")),
+        }
+    }
+}
+
 /// Live retry state carried by a prober: the policy plus the outcome
 /// window the adaptive mode feeds on.
 #[derive(Clone, Copy, Debug)]
@@ -128,6 +148,25 @@ mod tests {
         let state = RetryState::new(RetryPolicy::default());
         assert_eq!(state.budget(), DEFAULT_RETRIES);
         assert_eq!(state.delay(1), 0);
+    }
+
+    #[test]
+    fn flags_map_to_policies() {
+        assert_eq!(RetryPolicy::from_flags(None, None), Ok(RetryPolicy::default()));
+        assert_eq!(
+            RetryPolicy::from_flags(Some(3), Some("exp")),
+            Ok(RetryPolicy::Backoff { retries: 3, base: 8 })
+        );
+        assert_eq!(
+            RetryPolicy::from_flags(Some(4), Some("adaptive")),
+            Ok(RetryPolicy::Adaptive { min: DEFAULT_RETRIES, max: 4 })
+        );
+        assert_eq!(
+            RetryPolicy::from_flags(Some(0), Some("adaptive")),
+            Ok(RetryPolicy::Adaptive { min: 0, max: 0 })
+        );
+        let err = RetryPolicy::from_flags(None, Some("linear")).unwrap_err();
+        assert!(err.contains("none|exp|adaptive"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use inet::{Addr, Prefix};
 use netsim::Network;
 use obs::Recorder;
 use probe::{Prober, Protocol, SimProber};
-use sweep::BatchConfig;
+use sweep::{run_batch, BatchConfig};
 use topogen::Scenario;
 use tracenet::{Session, TracenetOptions};
 
@@ -91,13 +91,14 @@ fn conform(sc: &Scenario, cap: usize) -> bool {
         for use_cache in [false, true] {
             let net = Network::new(sc.topology.clone());
             let cfg = BatchConfig { jobs, use_cache, ..BatchConfig::default() };
-            let (set, stats) = evalkit::run::run_tracenet_batch(
+            let batch = run_batch(
                 &net,
                 sc.vantage(vantage_name(sc)),
                 &targets,
                 &cfg,
                 &Recorder::disabled(),
             );
+            let (set, stats) = (CollectedSet::from_batch(&batch), batch.cache);
             let got = fingerprint(sc, &set);
             assert_eq!(
                 got, want,
@@ -156,13 +157,8 @@ fn cached_collection_keeps_accuracy_on_internet2() {
     let targets = targets_of(&sc, 40);
     let net = Network::new(sc.topology.clone());
     let cfg = BatchConfig { jobs: 8, ..BatchConfig::default() };
-    let (set, stats) = evalkit::run::run_tracenet_batch(
-        &net,
-        sc.vantage("utdallas"),
-        &targets,
-        &cfg,
-        &Recorder::disabled(),
-    );
+    let batch = run_batch(&net, sc.vantage("utdallas"), &targets, &cfg, &Recorder::disabled());
+    let (set, stats) = (CollectedSet::from_batch(&batch), batch.cache);
     assert!(stats.lookups() > 0, "the cache was consulted");
     let gt: Vec<_> = sc.ground_truth.evaluated().collect();
     let cls = classify(&gt, &set.records());

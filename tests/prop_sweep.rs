@@ -3,7 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use evalkit::run::run_tracenet_batch;
 use evalkit::CollectedSet;
 use inet::{Addr, Prefix};
 use netsim::{FaultPlan, Network};
@@ -29,7 +28,14 @@ fn collect_with_plan(
 ) -> (CollectedSet, sweep::CacheStats) {
     let mut net = Network::new(scenario.topology.clone());
     net.set_fault_plan(plan);
-    run_tracenet_batch(&net, scenario.vantage("vantage"), targets, cfg, &obs::Recorder::disabled())
+    let batch = sweep::run_batch(
+        &net,
+        scenario.vantage("vantage"),
+        targets,
+        cfg,
+        &obs::Recorder::disabled(),
+    );
+    (CollectedSet::from_batch(&batch), batch.cache)
 }
 
 /// A moderate seeded fault plan for the robustness properties.

@@ -14,7 +14,6 @@
 
 use bench_suite::{batch_args, isp_experiment};
 use evalkit::render::table;
-use obs::Phase;
 
 fn main() {
     let args = batch_args();
@@ -41,16 +40,16 @@ fn main() {
         .collect();
     print!("{}", table(&headers, &rows));
     println!();
-    println!("probe budget per vantage (from the telemetry registry):");
+    println!("probe budget per vantage (from the session reports):");
     for run in &exp.runs {
-        let m = &run.metrics;
+        let p = &run.phases;
         println!(
             "  {:<8} trace {:>8} + position {:>8} + explore {:>8} = {:>9}",
             run.vantage,
-            m.sent_in(Phase::Trace),
-            m.sent_in(Phase::Position),
-            m.sent_in(Phase::Explore),
-            m.sent_total()
+            p.trace,
+            p.position,
+            p.explore,
+            p.total()
         );
         if cfg.use_cache {
             println!(

@@ -26,11 +26,10 @@ fn main() {
         if args.fault.is_some() { "injected" } else { "none" }
     );
     for ((vantage, series), run) in exp.prefix_series().into_iter().zip(&exp.runs) {
-        let m = &run.metrics;
         println!(
             "\n-- {vantage} (log-scale bars; {} explore probes of {} total) --",
-            m.sent_in(obs::Phase::Explore),
-            m.sent_total()
+            run.phases.explore,
+            run.phases.total()
         );
         for (len, count) in series {
             println!("/{len:<3} {count:>6}  {}", log_bar(count));

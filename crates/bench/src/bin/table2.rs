@@ -13,7 +13,6 @@
 //! a seeded fault plan, quantifying what loss costs the table.
 
 use bench_suite::{accuracy_experiment, batch_args, paper};
-use obs::Phase;
 
 fn main() {
     let args = batch_args();
@@ -33,9 +32,9 @@ fn main() {
         "probes: {} (trace {} / position {} / explore {}); \
          §4.1.1 audit agrees with ground truth on {}/{} subnets",
         r.probes,
-        r.metrics.sent_in(Phase::Trace),
-        r.metrics.sent_in(Phase::Position),
-        r.metrics.sent_in(Phase::Explore),
+        r.phases.trace,
+        r.phases.position,
+        r.phases.explore,
         r.audit_agreement.0,
         r.audit_agreement.1
     );

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use std::sync::Arc;
-
 use evalkit::accounting::{ip_accounting, prefix_length_series, subnet_count, IpAccounting};
 use evalkit::classify::{classify, SubnetTable};
 use evalkit::crossval::VennPartition;
@@ -14,7 +12,7 @@ use netsim::Network;
 use probe::Protocol;
 use sweep::{run_batch, BatchConfig, CacheStats};
 use topogen::{geant, internet2, isp_internet, GtSubnet, Scenario, ISP_NAMES};
-use tracenet::TracenetOptions;
+use tracenet::{PhaseCost, TracenetOptions};
 
 /// Default experiment seed (the paper's publication year).
 pub const SEED: u64 = 2010;
@@ -31,9 +29,9 @@ pub struct AccuracyResult {
     pub size_similarity: f64,
     /// Probes spent collecting (the audit's sweep probes not included).
     pub probes: u64,
-    /// Per-phase/per-heuristic probe accounting from the telemetry
-    /// registry (its totals equal `probes` exactly).
-    pub metrics: obs::MetricsSnapshot,
+    /// Per-phase probe budget: the sum of the reports' phase costs (its
+    /// total equals `probes` exactly).
+    pub phases: PhaseCost,
     /// §4.1.1 audit cross-check: (agreements with generator intent,
     /// subnets audited).
     pub audit_agreement: (usize, usize),
@@ -143,9 +141,7 @@ pub fn accuracy_experiment(scenario: Scenario, args: &ExpArgs) -> AccuracyResult
 
     let mut net = Network::new(scenario.topology.clone());
     net.set_fault_plan(args.fault);
-    let registry = Arc::new(obs::Registry::new());
-    let recorder = obs::Recorder::new().with_metrics(Arc::clone(&registry));
-    let batch = run_batch(&net, vantage, &scenario.targets, &args.cfg, &recorder);
+    let batch = run_batch(&net, vantage, &scenario.targets, &args.cfg, &obs::Recorder::disabled());
     let collected = CollectedSet::from_batch(&batch);
     let wall_ticks = net.tick();
     let mut classifications = classify(&gt, &collected.records());
@@ -163,7 +159,7 @@ pub fn accuracy_experiment(scenario: Scenario, args: &ExpArgs) -> AccuracyResult
         prefix_similarity: prefix_similarity(&classifications, bounds),
         size_similarity: size_similarity(&classifications, bounds),
         probes: collected.probes,
-        metrics: registry.snapshot(),
+        phases: phase_sums(&batch),
         audit_agreement,
         cache: batch.cache,
         wall_ticks,
@@ -198,8 +194,9 @@ pub struct VantageRun {
     pub vantage: String,
     /// Everything it collected.
     pub collected: CollectedSet,
-    /// Per-phase probe accounting for this vantage's collection.
-    pub metrics: obs::MetricsSnapshot,
+    /// Per-phase probe budget of this vantage's collection: the sum of
+    /// its reports' phase costs.
+    pub phases: PhaseCost,
     /// Cross-session subnet-cache counters (zero with the cache off;
     /// each vantage keeps its own cache, so Figure 6's cross-validation
     /// stays honest).
@@ -235,14 +232,12 @@ pub fn isp_experiment(args: &ExpArgs) -> IspExperiment {
     let mut runs = Vec::new();
     let mut tick_before = net.tick();
     for (name, addr) in scenario.vantages.clone() {
-        let registry = Arc::new(obs::Registry::new());
-        let recorder = obs::Recorder::new().with_metrics(Arc::clone(&registry));
-        let batch = run_batch(&net, addr, &scenario.targets, &args.cfg, &recorder);
+        let batch = run_batch(&net, addr, &scenario.targets, &args.cfg, &obs::Recorder::disabled());
         let tick_after = net.tick();
         runs.push(VantageRun {
             vantage: name,
             collected: CollectedSet::from_batch(&batch),
-            metrics: registry.snapshot(),
+            phases: phase_sums(&batch),
             cache: batch.cache,
             wall_ticks: tick_after - tick_before,
         });
@@ -318,11 +313,16 @@ pub fn write_bench_json(exp: &str, payload: &serde_json::Value) -> std::io::Resu
     Ok(path)
 }
 
-fn phases_json(m: &obs::MetricsSnapshot) -> serde_json::Value {
+/// Sums a batch's per-report phase costs into its probe budget.
+fn phase_sums(batch: &sweep::BatchResult) -> PhaseCost {
+    batch.reports.iter().map(tracenet::TraceReport::phase_totals).sum()
+}
+
+fn phases_json(p: &PhaseCost) -> serde_json::Value {
     serde_json::json!({
-        "trace": m.sent_in(obs::Phase::Trace),
-        "position": m.sent_in(obs::Phase::Position),
-        "explore": m.sent_in(obs::Phase::Explore),
+        "trace": p.trace,
+        "position": p.position,
+        "explore": p.explore,
     })
 }
 
@@ -339,9 +339,9 @@ pub fn isp_bench_json(exp: &IspExperiment, args: &ExpArgs) -> serde_json::Value 
             .iter()
             .map(|r| serde_json::json!({
                 "vantage": r.vantage.clone(),
-                "probes": r.metrics.sent_total(),
+                "probes": r.phases.total(),
                 "wall_ticks": r.wall_ticks,
-                "phases": phases_json(&r.metrics),
+                "phases": phases_json(&r.phases),
                 "subnets": r.collected.prefixes().len(),
             }))
             .collect::<Vec<_>>(),
@@ -359,7 +359,7 @@ pub fn accuracy_bench_json(r: &AccuracyResult, args: &ExpArgs) -> serde_json::Va
         "network": r.network.clone(),
         "probes": r.probes,
         "wall_ticks": r.wall_ticks,
-        "phases": phases_json(&r.metrics),
+        "phases": phases_json(&r.phases),
         "exact_incl": r.table.exact_rate(),
         "exact_excl": r.table.exact_rate_responsive(),
         "audit": [r.audit_agreement.0, r.audit_agreement.1],

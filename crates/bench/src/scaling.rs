@@ -71,7 +71,17 @@ pub fn scaling_experiment(
         let wall = start.elapsed();
         let wall_ticks = net.tick();
 
-        let render: Vec<String> = result.reports.iter().map(|r| format!("{r:?}")).collect();
+        // Phase ticks are wall time on the shared clock, which the other
+        // workers advance too; everything else must match byte for byte.
+        let render: Vec<String> = result
+            .reports
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.hops.iter_mut().for_each(|h| h.ticks = tracenet::PhaseTicks::default());
+                format!("{r:?}")
+            })
+            .collect();
         match &baseline_render {
             None => baseline_render = Some(render),
             Some(base) => assert_eq!(

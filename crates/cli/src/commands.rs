@@ -2,7 +2,7 @@
 //! output text, which keeps them directly testable.
 
 use std::io::{BufWriter, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use inet::{Addr, Prefix};
 use netsim::Network;
@@ -139,45 +139,23 @@ pub fn info(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// A metrics registry paired with the files its snapshot goes to:
-/// `--metrics` (pretty JSON plus a rendered table on stdout) and/or
-/// `--metrics-json` (one compact machine-readable JSON object).
-struct MetricsOut {
-    registry: Arc<obs::Registry>,
-    pretty: Option<String>,
-    compact: Option<String>,
-}
-
-impl MetricsOut {
-    /// Snapshots the registry and writes every requested file. Returns
-    /// the rendered table when `--metrics` asked for human output.
-    fn write(&self) -> Result<String, String> {
-        let snap = self.registry.snapshot();
-        if let Some(path) = &self.pretty {
-            let json = serde_json::to_string_pretty(&snap.to_json())
-                .map_err(|e| format!("{path}: {e}"))?;
-            std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
-        }
-        if let Some(path) = &self.compact {
-            std::fs::write(path, snap.to_json().to_string() + "\n")
-                .map_err(|e| format!("{path}: {e}"))?;
-        }
-        Ok(if self.pretty.is_some() { snap.render_table() } else { String::new() })
-    }
-}
-
 /// The CLI's views of the recorder stream, one sink for all of them:
 /// `--trace-log` gets each probe's [`obs::ProbeEvent::to_json`] line,
-/// `-v` prints each decision to stderr, and `-vv` also prints each
-/// probe line there. Every stderr line names its session, so the output
-/// of concurrent workers stays readable.
+/// `-v` prints each decision to stderr, `-vv` also prints each probe
+/// line there, and `--metrics`/`--metrics-json` fold each probe into the
+/// run's wire counters as it arrives. Every stderr line names its
+/// session, so the output of concurrent workers stays readable.
 struct ViewSink {
     trace_log: Option<BufWriter<std::fs::File>>,
     verbosity: u8,
+    metrics: Option<obs::Metrics>,
 }
 
 impl obs::EventSink for ViewSink {
     fn emit(&mut self, event: &obs::ProbeEvent) {
+        if let Some(metrics) = &mut self.metrics {
+            metrics.record(event);
+        }
         if self.trace_log.is_none() && self.verbosity < 2 {
             return;
         }
@@ -204,30 +182,66 @@ impl obs::EventSink for ViewSink {
     }
 }
 
-/// Builds the probe-telemetry recorder from `--trace-log`, `-v`/`-vv`,
-/// `--metrics` and `--metrics-json`. Returns the recorder plus the
-/// metrics outputs, when requested.
-fn recorder_from(opts: &Opts) -> Result<(obs::Recorder, Option<MetricsOut>), String> {
-    let mut recorder = obs::Recorder::new();
+/// The views a command asked for: the installed [`ViewSink`], if any,
+/// and where `--metrics` (pretty JSON plus a rendered table on stdout)
+/// and `--metrics-json` (one compact JSON object) go.
+struct Views {
+    sink: Option<Arc<Mutex<ViewSink>>>,
+    pretty: Option<String>,
+    compact: Option<String>,
+}
+
+/// Builds the recorder and its views from `--trace-log`, `-v`/`-vv`,
+/// `--metrics` and `--metrics-json`. With none of them the recorder is
+/// disabled and the run records nothing.
+fn views_from(opts: &Opts) -> Result<(obs::Recorder, Views), String> {
     let trace_log = opts
         .flag("trace-log")
         .map(|path| std::fs::File::create(path).map_err(|e| format!("{path}: {e}")))
         .transpose()?
         .map(BufWriter::new);
     let verbosity = opts.verbosity();
-    if trace_log.is_some() || verbosity > 0 {
-        recorder = recorder.with_sink(obs::SinkHandle::new(ViewSink { trace_log, verbosity }));
-    }
     let pretty = opts.flag("metrics").map(str::to_string);
     let compact = opts.flag("metrics-json").map(str::to_string);
-    let metrics = if pretty.is_some() || compact.is_some() {
-        let registry = Arc::new(obs::Registry::new());
-        recorder = recorder.with_metrics(Arc::clone(&registry));
-        Some(MetricsOut { registry, pretty, compact })
-    } else {
-        None
+    let metrics = (pretty.is_some() || compact.is_some()).then(obs::Metrics::default);
+    let sink = (trace_log.is_some() || verbosity > 0 || metrics.is_some())
+        .then(|| Arc::new(Mutex::new(ViewSink { trace_log, verbosity, metrics })));
+    let recorder = match &sink {
+        Some(sink) => obs::Recorder::new().with_sink(obs::SinkHandle::shared(Arc::clone(sink))),
+        None => obs::Recorder::disabled(),
     };
-    Ok((recorder, metrics))
+    Ok((recorder, Views { sink, pretty, compact }))
+}
+
+impl Views {
+    /// Flushes `--trace-log` and writes the metrics files: the wire
+    /// counters the sink folded, plus the hop costs and phase ticks of
+    /// `reports` and the subnet cache's ledger. Returns the rendered
+    /// table when `--metrics` asked for human output.
+    fn finish(
+        self,
+        reports: &[tracenet::TraceReport],
+        cache: sweep::CacheStats,
+    ) -> Result<String, String> {
+        let Some(sink) = self.sink else { return Ok(String::new()) };
+        let mut view = sink.lock().map_err(|_| "view sink poisoned".to_string())?;
+        obs::EventSink::flush(&mut *view).map_err(|e| format!("--trace-log: {e}"))?;
+        let Some(mut metrics) = view.metrics.take() else { return Ok(String::new()) };
+        for report in reports {
+            report.fold_into(&mut metrics);
+        }
+        metrics.set_cache(cache.hits, cache.skips, cache.misses);
+        if let Some(path) = &self.pretty {
+            let json = serde_json::to_string_pretty(&metrics.to_json())
+                .map_err(|e| format!("{path}: {e}"))?;
+            std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
+        }
+        if let Some(path) = &self.compact {
+            std::fs::write(path, metrics.to_json().to_string() + "\n")
+                .map_err(|e| format!("{path}: {e}"))?;
+        }
+        Ok(if self.pretty.is_some() { metrics.render_table() } else { String::new() })
+    }
 }
 
 /// `tracenet trace <scenario> (--target A | --all) [...]` — one session
@@ -245,7 +259,7 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
         retry: retry_policy(opts)?,
         ..sweep::BatchConfig::default()
     };
-    let (recorder, metrics) = recorder_from(opts)?;
+    let (recorder, views) = views_from(opts)?;
 
     let targets: Vec<Addr> = if opts.has("all") {
         scenario.targets.clone()
@@ -256,12 +270,9 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
     };
 
     let net = network(&scenario, opts)?;
-    let reports = sweep::run_batch(&net, v, &targets, &cfg, &recorder).reports;
-    recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
-    let metrics_table = match &metrics {
-        Some(m) => m.write()?,
-        None => String::new(),
-    };
+    let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
+    let metrics_table = views.finish(&result.reports, result.cache)?;
+    let reports = result.reports;
     if opts.has("json") {
         return Ok(
             serde_json::Value::Array(reports.iter().map(report_to_json).collect()).to_string()
@@ -366,7 +377,7 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
     let proto = protocol(opts)?;
-    let (recorder, metrics) = recorder_from(opts)?;
+    let (recorder, views) = views_from(opts)?;
     let targets = targets_from(&scenario, opts)?;
     let tn_opts = TracenetOptions {
         hop_fault_budget: opts.flag_opt("fault-budget")?,
@@ -385,11 +396,7 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
     let net = network(&scenario, opts)?;
     let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     let (collected, cache) = (evalkit::CollectedSet::from_batch(&result), result.cache);
-    recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
-    let metrics_table = match &metrics {
-        Some(m) => m.write()?,
-        None => String::new(),
-    };
+    let metrics_table = views.finish(&result.reports, cache)?;
     if opts.has("json") {
         let records = collected.records();
         return Ok(serde_json::json!({

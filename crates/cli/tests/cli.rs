@@ -238,7 +238,7 @@ fn batch_explicit_targets_and_metrics() {
     let out = run(&["batch", p, "--targets", &pair, "--jobs", "1", "--metrics", m]).unwrap();
     assert!(out.contains("over 2 sessions"), "{out}");
     // Tracing the same target twice must hit the cache, and the cache
-    // counters must surface through the obs metrics registry too.
+    // counters must surface in the `--metrics` accounting too.
     assert!(out.contains("subnet cache:"), "{out}");
     assert!(!out.contains(" 0 hits"), "{out}");
     let metrics: serde_json::Value =
@@ -274,6 +274,22 @@ fn helpful_errors() {
     assert!(err.contains("no vantage"), "{err}");
     let err = run(&["trace", p, "--target", "1.2.3.4", "--protocol", "gre"]).unwrap_err();
     assert!(err.contains("unknown protocol"), "{err}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_vantage_off_the_topology_is_a_load_error_not_a_panic() {
+    let path = scenario_file("stray-vantage");
+    let mut v: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    v["vantages"][0]["addr"] = serde_json::json!("203.0.113.9");
+    std::fs::write(&path, v.to_string()).unwrap();
+    let p = path.to_str().unwrap();
+    for args in [vec!["trace", p, "--all"], vec!["batch", p, "--jobs", "1"]] {
+        let err = run(&args).unwrap_err();
+        assert!(err.contains(p), "{args:?}: {err}");
+        assert!(err.contains("(203.0.113.9) is not an interface"), "{args:?}: {err}");
+    }
     std::fs::remove_file(path).ok();
 }
 

@@ -63,5 +63,5 @@ pub use cache::{CacheLookup, SubnetStore};
 pub use observed::{AddressRole, ObservedSubnet, StopCause};
 pub use options::{HeuristicSet, TracenetOptions};
 pub use position::Positioning;
-pub use report::{Completeness, HopRecord, PhaseCost, TraceReport};
+pub use report::{Completeness, HopRecord, PhaseCost, PhaseTicks, TraceReport};
 pub use session::Session;

@@ -4,6 +4,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use inet::Addr;
+use obs::Phase;
 
 use crate::observed::ObservedSubnet;
 
@@ -24,6 +25,43 @@ impl PhaseCost {
     /// Total wire probes of the hop.
     pub fn total(&self) -> u64 {
         self.trace + self.position + self.explore
+    }
+}
+
+impl std::iter::Sum for PhaseCost {
+    fn sum<I: Iterator<Item = PhaseCost>>(costs: I) -> PhaseCost {
+        costs.fold(PhaseCost::default(), |a, c| PhaseCost {
+            trace: a.trace + c.trace,
+            position: a.position + c.position,
+            explore: a.explore + c.explore,
+        })
+    }
+}
+
+/// Wall ticks (the prober clock's advance) spent in each phase of one
+/// hop, `None` for a phase the hop skipped. On a shared clock the ticks
+/// include other workers' traffic, so they stay out of `Display` and
+/// the report JSON; `--metrics` folds them into its phase-latency
+/// histogram.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseTicks {
+    /// Ticks spent obtaining the hop address (trace collection).
+    pub trace: u64,
+    /// Ticks spent in subnet positioning, if the hop was positioned.
+    pub position: Option<u64>,
+    /// Ticks spent in subnet exploration, if the hop was explored.
+    pub explore: Option<u64>,
+}
+
+impl PhaseTicks {
+    /// The phases the hop ran, with their ticks, in pipeline order.
+    pub fn measured(&self) -> impl Iterator<Item = (Phase, u64)> {
+        let phases = [
+            (Phase::Trace, Some(self.trace)),
+            (Phase::Position, self.position),
+            (Phase::Explore, self.explore),
+        ];
+        phases.into_iter().filter_map(|(phase, ticks)| Some((phase, ticks?)))
     }
 }
 
@@ -94,6 +132,8 @@ pub struct HopRecord {
     pub subnet: Option<ObservedSubnet>,
     /// Probe accounting for this hop.
     pub cost: PhaseCost,
+    /// Wall ticks each phase of this hop took.
+    pub ticks: PhaseTicks,
     /// How much the hop's observations suffered from injected or real
     /// faults (always [`Completeness::Complete`] on a quiet network).
     pub completeness: Completeness,
@@ -158,13 +198,15 @@ impl TraceReport {
     /// Sums the per-hop phase costs into the session's probe budget —
     /// the per-trace line of the paper's Table 2.
     pub fn phase_totals(&self) -> PhaseCost {
-        let mut totals = PhaseCost::default();
+        self.hops.iter().map(|h| h.cost).sum()
+    }
+
+    /// Folds every hop's probe cost and phase ticks into `metrics`: the
+    /// hop-cost and phase-latency histograms of `--metrics`.
+    pub fn fold_into(&self, metrics: &mut obs::Metrics) {
         for hop in &self.hops {
-            totals.trace += hop.cost.trace;
-            totals.position += hop.cost.position;
-            totals.explore += hop.cost.explore;
+            metrics.fold_hop(hop.cost.total(), hop.ticks.measured());
         }
-        totals
     }
 
     /// The report's overall completeness: [`Completeness::Abandoned`] if
@@ -278,6 +320,7 @@ mod tests {
                         "10.0.1.1",
                     )),
                     cost: PhaseCost { trace: 1, position: 3, explore: 4 },
+                    ticks: PhaseTicks { trace: 1, position: Some(3), explore: Some(4) },
                     completeness: Completeness::Complete,
                 },
                 HopRecord {
@@ -288,6 +331,7 @@ mod tests {
                     cached: false,
                     subnet: None,
                     cost: PhaseCost { trace: 2, position: 0, explore: 0 },
+                    ticks: PhaseTicks { trace: 2, position: None, explore: None },
                     completeness: Completeness::Complete,
                 },
                 HopRecord {
@@ -298,6 +342,7 @@ mod tests {
                     cached: false,
                     subnet: Some(sample_subnet("10.0.9.8/31", &["10.0.9.9"], "10.0.9.9")),
                     cost: PhaseCost { trace: 1, position: 2, explore: 2 },
+                    ticks: PhaseTicks { trace: 1, position: Some(2), explore: Some(2) },
                     completeness: Completeness::Complete,
                 },
             ],
@@ -333,6 +378,22 @@ mod tests {
         let totals = r.phase_totals();
         assert_eq!(totals, PhaseCost { trace: 4, position: 5, explore: 6 });
         assert_eq!(totals.total(), 15);
+    }
+
+    #[test]
+    fn folding_counts_each_hop_and_each_phase_it_ran() {
+        let mut m = obs::Metrics::default();
+        sample_report().fold_into(&mut m);
+        let v = m.to_json();
+        // Hop costs 8, 2 and 5 land in [8, 16), [2, 4) and [4, 8).
+        assert_eq!(v["hop_cost_histogram"][1]["count"], 1u64);
+        assert_eq!(v["hop_cost_histogram"][2]["count"], 1u64);
+        assert_eq!(v["hop_cost_histogram"][3]["count"], 1u64);
+        assert_eq!(m.phase_tick_count(Phase::Trace), 3);
+        assert_eq!(m.phase_tick_total(Phase::Trace), 4);
+        assert_eq!(m.phase_tick_count(Phase::Position), 2, "the anonymous hop skipped it");
+        assert_eq!(m.phase_tick_total(Phase::Explore), 6);
+        assert_eq!(m.sent_total(), 0, "wire counters come from the probe stream");
     }
 
     #[test]

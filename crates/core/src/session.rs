@@ -11,14 +11,14 @@
 use std::sync::Arc;
 
 use inet::Addr;
-use obs::{CacheOutcome, Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
+use obs::{Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
 use probe::{CachingProber, FaultBudgetProber, ProbeOutcome, ProbeStats, Prober};
 
 use crate::cache::{CacheLookup, SubnetStore};
 use crate::explore::explore;
 use crate::options::TracenetOptions;
 use crate::position::position;
-use crate::report::{Completeness, HopRecord, PhaseCost, TraceReport};
+use crate::report::{Completeness, HopRecord, PhaseCost, PhaseTicks, TraceReport};
 
 /// A configured tracenet session over a borrowed prober.
 pub struct Session<P: Prober> {
@@ -44,9 +44,10 @@ impl<P: Prober> Session<P> {
         }
     }
 
-    /// Attaches a session-level recorder. This does *not* make the
-    /// prober emit events (attach a recorder to the prober for that); it
-    /// feeds session-derived metrics, e.g. the probes-per-hop histogram.
+    /// Attaches the recorder the session narrates its decisions to
+    /// (positioning verdicts, heuristic admissions, cache resolutions,
+    /// degraded hops). It does *not* make the prober emit probe events:
+    /// attach a recorder to the prober for that.
     pub fn with_recorder(mut self, recorder: Recorder) -> Session<P> {
         self.recorder = recorder;
         self
@@ -81,8 +82,7 @@ impl<P: Prober> Session<P> {
                 let _cause = obs::cause_scope(Cause::TraceCollection);
                 self.prober.probe(destination, d)
             };
-            self.recorder
-                .record_phase_ticks(Phase::Trace, self.prober.clock().saturating_sub(trace_t0));
+            let trace_ticks = self.prober.clock().saturating_sub(trace_t0);
             let (addr, reached) = match outcome {
                 ProbeOutcome::TtlExceeded { from } => (Some(from), false),
                 ProbeOutcome::DirectReply { from } => (Some(from), true),
@@ -102,6 +102,7 @@ impl<P: Prober> Session<P> {
                 cached: false,
                 subnet: None,
                 cost: PhaseCost { trace: trace_cost, position: 0, explore: 0 },
+                ticks: PhaseTicks { trace: trace_ticks, position: None, explore: None },
                 completeness: Completeness::Complete,
             };
             let mut admit = false;
@@ -131,11 +132,6 @@ impl<P: Prober> Session<P> {
                     record.cached = true;
                     let reusable = outcome.is_some();
                     record.subnet = outcome;
-                    self.recorder.record_cache(if reusable {
-                        CacheOutcome::Hit
-                    } else {
-                        CacheOutcome::Skip
-                    });
                     self.recorder.record_decision(|| DecisionEvent {
                         session: None,
                         hop: d,
@@ -150,19 +146,13 @@ impl<P: Prober> Session<P> {
                         evidence: "resolved from the cross-session subnet cache".to_string(),
                     });
                 } else {
-                    if lookup.is_some() {
-                        self.recorder.record_cache(CacheOutcome::Miss);
-                    }
                     let before = self.prober.stats().sent;
                     let pos_t0 = self.prober.clock();
                     let positioning = {
                         let _phase = obs::phase_scope(Phase::Position);
                         position(&mut self.prober, prev_addr, v, d, &self.opts)
                     };
-                    self.recorder.record_phase_ticks(
-                        Phase::Position,
-                        self.prober.clock().saturating_sub(pos_t0),
-                    );
+                    record.ticks.position = Some(self.prober.clock().saturating_sub(pos_t0));
                     record.cost.position = self.prober.stats().sent - before;
 
                     match &positioning {
@@ -214,10 +204,8 @@ impl<P: Prober> Session<P> {
                                     &self.opts,
                                 )
                             };
-                            self.recorder.record_phase_ticks(
-                                Phase::Explore,
-                                self.prober.clock().saturating_sub(explore_t0),
-                            );
+                            record.ticks.explore =
+                                Some(self.prober.clock().saturating_sub(explore_t0));
                             record.cost.explore = self.prober.stats().sent - before;
                             record.subnet = Some(subnet);
                         }
@@ -265,7 +253,6 @@ impl<P: Prober> Session<P> {
                 }
             }
 
-            self.recorder.record_hop_cost(record.cost.total());
             hops.push(record);
             prev_addr = addr;
             if reached {

@@ -203,6 +203,7 @@ mod tests {
             cached: false,
             subnet: sn,
             cost: PhaseCost::default(),
+            ticks: tracenet::PhaseTicks::default(),
             completeness: tracenet::Completeness::Complete,
         };
         let report = TraceReport {

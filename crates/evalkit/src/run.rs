@@ -184,15 +184,16 @@ mod tests {
     fn folded_batch_accounts_every_probe() {
         let (topo, names) = samples::chain(3);
         let net = Network::new(topo);
-        let metrics = std::sync::Arc::new(obs::Registry::new());
-        let recorder = Recorder::new().with_metrics(std::sync::Arc::clone(&metrics));
+        let sink = obs::VecSink::new();
+        let recorder = Recorder::new().with_sink(obs::SinkHandle::new(sink.clone()));
         let cfg = BatchConfig { use_cache: false, ..BatchConfig::default() };
         let batch =
             sweep::run_batch(&net, names.addr("vantage"), &[names.addr("dest")], &cfg, &recorder);
         let set = CollectedSet::from_batch(&batch);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.sent_total(), set.probes);
-        assert_eq!(snap.sent_unattributed(), 0);
+        let mut metrics = obs::Metrics::default();
+        sink.events().iter().for_each(|e| metrics.record(e));
+        assert_eq!(metrics.sent_total(), set.probes);
+        assert_eq!(metrics.sent_unattributed(), 0);
     }
 
     #[test]

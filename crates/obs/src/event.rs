@@ -348,7 +348,7 @@ impl fmt::Display for UnreachReason {
 }
 
 /// One packet put on the wire, with full attribution. This is the unit
-/// of the JSONL probe log and the input to the metrics registry.
+/// of the JSONL probe log and what [`crate::Metrics`] folds.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProbeEvent {
     /// Simulator clock (or wall-relative counter for live probers) at

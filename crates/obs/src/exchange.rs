@@ -273,11 +273,6 @@ impl ExchangeLog {
         self.events.iter().filter(move |e| e.session == Some(session))
     }
 
-    /// The decisions of one session, in emission order.
-    pub fn decisions_for(&self, session: u64) -> impl Iterator<Item = &DecisionEvent> {
-        self.decisions.iter().filter(move |d| d.session == Some(session))
-    }
-
     /// The recorded report of one session, if the log carries one.
     pub fn report_for(&self, session: u64) -> Option<&Value> {
         self.reports.iter().find(|(s, _)| *s == session).map(|(_, r)| r)
@@ -369,7 +364,6 @@ mod tests {
         assert_eq!(log.events, vec![ev(0, 1), ev(1, 2)]);
         assert_eq!(log.decisions, vec![decision(0)]);
         assert_eq!(log.events_for(1).count(), 1);
-        assert_eq!(log.decisions_for(0).count(), 1);
         assert_eq!(log.report_for(1).unwrap()["probes"].as_u64(), Some(9));
         assert!(log.report_for(7).is_none());
     }

@@ -17,18 +17,20 @@
 //!   JSONL log interleaving probes, decisions, and per-session reports,
 //!   parseable back into an [`exchange::ExchangeLog`] for deterministic
 //!   replay and run diffing.
-//! - [`sink::EventSink`] — pluggable event consumers: [`sink::NullSink`],
-//!   [`sink::VecSink`] (tests), [`exchange::ExchangeSink`] (the flight
-//!   recorder). Every human or machine view of a run — `--trace-log`,
-//!   `-v`/`-vv`, the exchange log — is a sink over the one stream.
-//! - [`metrics::Registry`] — thread-safe monotonic counters and
-//!   fixed-bucket histograms keyed by phase and heuristic — including
-//!   per-phase wall-tick latency — with human-table and JSON snapshots.
+//! - [`sink::EventSink`] — pluggable event consumers: [`sink::VecSink`]
+//!   (tests), [`exchange::ExchangeSink`] (the flight recorder). Every
+//!   human or machine view of a run — `--trace-log`, `-v`/`-vv`, the
+//!   exchange log, the wire counters of `--metrics` — is a sink over
+//!   the one stream.
+//! - [`metrics::Metrics`] — counters and fixed-bucket histograms keyed
+//!   by phase and heuristic, folded from the probe stream, the hop
+//!   records (probe cost and per-phase wall ticks) and the subnet
+//!   cache's ledger, with human-table and JSON renderings.
 //! - [`ctx`] — thread-local phase/cause attribution that the collection
 //!   algorithms set and the probers read, so attribution needs no
 //!   signature changes through the `Prober` seam.
-//! - [`Recorder`] — the handle probers carry: sink + metrics + session
-//!   tag bundled, free when disabled.
+//! - [`Recorder`] — the handle probers carry: one sink and a session
+//!   tag, free when disabled.
 //!
 //! Everything here is dependency-light by design (inet, wire, and the
 //! vendored serde_json shim) so any crate in the workspace can afford
@@ -49,6 +51,6 @@ pub use ctx::{cause_scope, phase_scope};
 pub use decision::{DecisionEvent, DecisionVerdict};
 pub use event::{Cause, Outcome, Phase, ProbeEvent, TimeoutCause, UnreachReason};
 pub use exchange::{ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, FORMAT_VERSION};
-pub use metrics::{CacheOutcome, MetricsSnapshot, Registry};
+pub use metrics::Metrics;
 pub use recorder::Recorder;
-pub use sink::{EventSink, NullSink, SinkHandle, VecSink};
+pub use sink::{EventSink, SinkHandle, VecSink};

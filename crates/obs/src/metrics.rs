@@ -1,13 +1,12 @@
-//! A dependency-free metrics registry: monotonic counters and
-//! fixed-bucket histograms keyed by phase and cause.
+//! Probe accounting: monotonic counters and fixed-bucket histograms
+//! keyed by phase and cause.
 //!
-//! Everything is a plain atomic so recording is lock-free and safe to
-//! share across probing threads behind one `Arc<Registry>`. A
-//! [`Registry::snapshot`] freezes the counters into a
-//! [`MetricsSnapshot`] that renders as a human table (the shape of the
-//! paper's Table 2) or as JSON.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`Metrics`] is a plain fold over what a run already produces: each
+//! wire [`ProbeEvent`] of the recorder stream ([`Metrics::record`]),
+//! each collected hop's probe cost and per-phase wall ticks
+//! ([`Metrics::fold_hop`]), and the subnet cache's own hit/skip/miss
+//! ledger ([`Metrics::set_cache`]). It renders as a human table (the
+//! shape of the paper's Table 2) or as JSON.
 
 use serde_json::{json, Value};
 
@@ -47,211 +46,82 @@ fn phase_tick_bucket(ticks: u64) -> usize {
     PHASE_TICK_BUCKETS.iter().position(|&hi| ticks < hi).unwrap_or(PHASE_TICK_BUCKETS.len())
 }
 
-/// What a cross-session subnet-cache lookup resolved to. Fed into the
-/// registry by the session driver so saved probes are attributable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// The cache supplied an already-accepted subnet for the hop.
-    Hit,
-    /// The cache knew the hop was explored before and yielded no subnet,
-    /// so positioning/exploration were skipped without a reusable subnet.
-    Skip,
-    /// The hop was not in the cache; it was positioned and explored.
-    Miss,
-}
-
-impl CacheOutcome {
-    /// All outcomes, in slot order.
-    pub const ALL: [CacheOutcome; 3] = [CacheOutcome::Hit, CacheOutcome::Skip, CacheOutcome::Miss];
-
-    fn index(self) -> usize {
-        match self {
-            CacheOutcome::Hit => 0,
-            CacheOutcome::Skip => 1,
-            CacheOutcome::Miss => 2,
-        }
-    }
-
-    /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Skip => "skip",
-            CacheOutcome::Miss => "miss",
-        }
-    }
-}
-
-fn phase_slot(phase: Option<Phase>) -> usize {
-    phase.map(Phase::index).unwrap_or(UNATTRIBUTED)
-}
+/// Labels of the subnet-cache slots, in slot order.
+const CACHE_LABELS: [&str; 3] = ["hit", "skip", "miss"];
 
 fn slot_label(slot: usize) -> &'static str {
     Phase::ALL.get(slot).map(|p| p.label()).unwrap_or("unattributed")
 }
 
-/// Thread-safe counters for probe traffic. Construct once per session
-/// (or per experiment), share via `Arc`, feed through a
-/// [`crate::Recorder`], and snapshot at the end.
-#[derive(Debug, Default)]
-pub struct Registry {
+/// The probe accounting of a run, built by folding its probe stream,
+/// its hop records and its cache ledger.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Metrics {
     /// Wire sends per phase slot.
-    sent: [AtomicU64; PHASES],
+    sent: [u64; PHASES],
     /// Retries (attempt > 0) per phase slot.
-    retries: [AtomicU64; PHASES],
+    retries: [u64; PHASES],
     /// Outcome counts per phase slot.
-    outcomes: [[AtomicU64; OUTCOMES]; PHASES],
+    outcomes: [[u64; OUTCOMES]; PHASES],
     /// Wire sends per cause.
-    by_cause: [AtomicU64; CAUSES],
+    by_cause: [u64; CAUSES],
     /// Probe TTL distribution.
-    ttl_hist: [AtomicU64; TTL_BUCKETS.len()],
-    /// Probes-per-hop distribution, fed by the session after trace
-    /// collection.
-    hop_cost_hist: [AtomicU64; HOP_COST_BUCKETS.len() + 1],
-    /// Cross-session subnet-cache lookups by outcome (hit/skip/miss).
-    cache: [AtomicU64; CacheOutcome::ALL.len()],
+    ttl_hist: [u64; TTL_BUCKETS.len()],
+    /// Probes-per-hop distribution.
+    hop_cost_hist: [u64; HOP_COST_BUCKETS.len() + 1],
+    /// Cross-session subnet-cache lookups: hits, skips, misses.
+    cache: [u64; CACHE_LABELS.len()],
     /// Timed-out attempts by attributed silence cause.
-    timeout_causes: [AtomicU64; TIMEOUT_CAUSES],
+    timeout_causes: [u64; TIMEOUT_CAUSES],
     /// Per-phase wall-tick latency histogram (ticks spent in one phase
-    /// of one hop), fed by the session driver.
-    phase_ticks: [[AtomicU64; PHASE_TICK_BUCKETS.len() + 1]; PHASES],
-    /// Per-phase completed-measurement count backing `phase_ticks`.
-    phase_tick_count: [AtomicU64; PHASES],
+    /// of one hop).
+    phase_ticks: [[u64; PHASE_TICK_BUCKETS.len() + 1]; Phase::ALL.len()],
+    /// Per-phase measurement count backing `phase_ticks`.
+    phase_tick_count: [u64; Phase::ALL.len()],
     /// Per-phase total ticks backing `phase_ticks`.
-    phase_tick_total: [AtomicU64; PHASES],
+    phase_tick_total: [u64; Phase::ALL.len()],
 }
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Records one wire attempt. Called by [`crate::Recorder::record`];
-    /// exposed for tools that replay a JSONL log into fresh metrics.
-    pub fn record(&self, event: &ProbeEvent) {
-        let slot = phase_slot(event.phase);
-        self.sent[slot].fetch_add(1, Ordering::Relaxed);
+impl Metrics {
+    /// Folds one wire attempt of the probe stream.
+    pub fn record(&mut self, event: &ProbeEvent) {
+        let slot = event.phase.map_or(UNATTRIBUTED, Phase::index);
+        self.sent[slot] += 1;
         if event.attempt > 0 {
-            self.retries[slot].fetch_add(1, Ordering::Relaxed);
+            self.retries[slot] += 1;
         }
-        self.outcomes[slot][event.outcome.index()].fetch_add(1, Ordering::Relaxed);
+        self.outcomes[slot][event.outcome.index()] += 1;
         if let Some(cause) = event.cause {
-            self.by_cause[cause.index()].fetch_add(1, Ordering::Relaxed);
+            self.by_cause[cause.index()] += 1;
         }
         if let Some(cause) = event.timeout_cause {
-            self.timeout_causes[cause.index()].fetch_add(1, Ordering::Relaxed);
+            self.timeout_causes[cause.index()] += 1;
         }
-        self.ttl_hist[ttl_bucket(event.ttl)].fetch_add(1, Ordering::Relaxed);
+        self.ttl_hist[ttl_bucket(event.ttl)] += 1;
     }
 
-    /// Records the probe cost of one collected hop (probes spent per
-    /// hop discovered during trace collection).
-    pub fn record_hop_cost(&self, probes: u64) {
-        self.hop_cost_hist[hop_cost_bucket(probes)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one cross-session subnet-cache lookup.
-    pub fn record_cache(&self, outcome: CacheOutcome) {
-        self.cache[outcome.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the wall-tick latency of one completed phase of one hop.
-    pub fn record_phase_ticks(&self, phase: Phase, ticks: u64) {
-        let slot = phase.index();
-        self.phase_ticks[slot][phase_tick_bucket(ticks)].fetch_add(1, Ordering::Relaxed);
-        self.phase_tick_count[slot].fetch_add(1, Ordering::Relaxed);
-        self.phase_tick_total[slot].fetch_add(ticks, Ordering::Relaxed);
-    }
-
-    /// Completed phase-latency measurements for `phase` so far.
-    pub fn phase_tick_count(&self, phase: Phase) -> u64 {
-        self.phase_tick_count[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total wall ticks measured in `phase` so far.
-    pub fn phase_tick_total(&self, phase: Phase) -> u64 {
-        self.phase_tick_total[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Cache lookups that resolved to `outcome` so far.
-    pub fn cache_count(&self, outcome: CacheOutcome) -> u64 {
-        self.cache[outcome.index()].load(Ordering::Relaxed)
-    }
-
-    /// Wire sends attributed to `phase` so far.
-    pub fn sent_in(&self, phase: Phase) -> u64 {
-        self.sent[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Wire sends with no phase attribution so far.
-    pub fn sent_unattributed(&self) -> u64 {
-        self.sent[UNATTRIBUTED].load(Ordering::Relaxed)
-    }
-
-    /// Wire sends attributed to `cause` so far.
-    pub fn sent_for(&self, cause: Cause) -> u64 {
-        self.by_cause[cause.index()].load(Ordering::Relaxed)
-    }
-
-    /// Timed-out attempts attributed to `cause` so far.
-    pub fn timeouts_for(&self, cause: TimeoutCause) -> u64 {
-        self.timeout_causes[cause.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total wire sends across every phase slot.
-    pub fn sent_total(&self) -> u64 {
-        self.sent.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Freezes the current counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            sent: std::array::from_fn(|i| load(&self.sent[i])),
-            retries: std::array::from_fn(|i| load(&self.retries[i])),
-            outcomes: std::array::from_fn(|i| std::array::from_fn(|j| load(&self.outcomes[i][j]))),
-            by_cause: std::array::from_fn(|i| load(&self.by_cause[i])),
-            ttl_hist: std::array::from_fn(|i| load(&self.ttl_hist[i])),
-            hop_cost_hist: std::array::from_fn(|i| load(&self.hop_cost_hist[i])),
-            cache: std::array::from_fn(|i| load(&self.cache[i])),
-            timeout_causes: std::array::from_fn(|i| load(&self.timeout_causes[i])),
-            phase_ticks: std::array::from_fn(|i| {
-                std::array::from_fn(|j| load(&self.phase_ticks[i][j]))
-            }),
-            phase_tick_count: std::array::from_fn(|i| load(&self.phase_tick_count[i])),
-            phase_tick_total: std::array::from_fn(|i| load(&self.phase_tick_total[i])),
+    /// Folds one collected hop: the probes it cost and the wall ticks of
+    /// each phase it ran.
+    pub fn fold_hop(&mut self, cost: u64, phase_ticks: impl IntoIterator<Item = (Phase, u64)>) {
+        self.hop_cost_hist[hop_cost_bucket(cost)] += 1;
+        for (phase, ticks) in phase_ticks {
+            let slot = phase.index();
+            self.phase_ticks[slot][phase_tick_bucket(ticks)] += 1;
+            self.phase_tick_count[slot] += 1;
+            self.phase_tick_total[slot] += ticks;
         }
     }
-}
 
-/// A frozen view of a [`Registry`], suitable for rendering and
-/// comparison.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    sent: [u64; PHASES],
-    retries: [u64; PHASES],
-    outcomes: [[u64; OUTCOMES]; PHASES],
-    by_cause: [u64; CAUSES],
-    ttl_hist: [u64; TTL_BUCKETS.len()],
-    hop_cost_hist: [u64; HOP_COST_BUCKETS.len() + 1],
-    cache: [u64; CacheOutcome::ALL.len()],
-    timeout_causes: [u64; TIMEOUT_CAUSES],
-    phase_ticks: [[u64; PHASE_TICK_BUCKETS.len() + 1]; PHASES],
-    phase_tick_count: [u64; PHASES],
-    phase_tick_total: [u64; PHASES],
-}
-
-impl MetricsSnapshot {
-    /// Cache lookups that resolved to `outcome`.
-    pub fn cache_count(&self, outcome: CacheOutcome) -> u64 {
-        self.cache[outcome.index()]
+    /// Sets the cross-session subnet-cache lookup counts.
+    pub fn set_cache(&mut self, hits: u64, skips: u64, misses: u64) {
+        self.cache = [hits, skips, misses];
     }
 
     /// Total cross-session cache lookups.
     pub fn cache_lookups(&self) -> u64 {
         self.cache.iter().sum()
     }
+
     /// Wire sends attributed to `phase`.
     pub fn sent_in(&self, phase: Phase) -> u64 {
         self.sent[phase.index()]
@@ -272,11 +142,6 @@ impl MetricsSnapshot {
         self.timeout_causes[cause.index()]
     }
 
-    /// Total attributed timeouts.
-    pub fn timeouts_attributed(&self) -> u64 {
-        self.timeout_causes.iter().sum()
-    }
-
     /// Total wire sends across every phase slot.
     pub fn sent_total(&self) -> u64 {
         self.sent.iter().sum()
@@ -292,7 +157,7 @@ impl MetricsSnapshot {
         self.outcomes[phase.index()][outcome.index()]
     }
 
-    /// Completed phase-latency measurements for `phase`.
+    /// Phase-latency measurements for `phase`.
     pub fn phase_tick_count(&self, phase: Phase) -> u64 {
         self.phase_tick_count[phase.index()]
     }
@@ -302,7 +167,7 @@ impl MetricsSnapshot {
         self.phase_tick_total[phase.index()]
     }
 
-    /// Renders the snapshot as an aligned human-readable table.
+    /// Renders the accounting as an aligned human-readable table.
     pub fn render_table(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -352,12 +217,10 @@ impl MetricsSnapshot {
             }
         }
         if self.cache_lookups() > 0 {
+            let [hits, skips, misses] = self.cache;
             let _ = writeln!(
                 out,
-                "\nsubnet cache: {} hits, {} skips, {} misses ({} lookups)",
-                self.cache_count(CacheOutcome::Hit),
-                self.cache_count(CacheOutcome::Skip),
-                self.cache_count(CacheOutcome::Miss),
+                "\nsubnet cache: {hits} hits, {skips} skips, {misses} misses ({} lookups)",
                 self.cache_lookups(),
             );
         }
@@ -386,7 +249,7 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Serializes the snapshot as a JSON object.
+    /// Serializes the accounting as a JSON object.
     ///
     /// Shape: `phases` maps phase label (plus `"unattributed"`) to
     /// `{sent, retries, outcomes: {...}}`; `causes` maps cause labels
@@ -436,10 +299,7 @@ impl MetricsSnapshot {
                 .collect(),
         );
         let cache = Value::Object(
-            CacheOutcome::ALL
-                .into_iter()
-                .map(|o| (o.label().to_string(), json!(self.cache_count(o))))
-                .collect(),
+            CACHE_LABELS.iter().zip(self.cache).map(|(l, n)| (l.to_string(), json!(n))).collect(),
         );
         let timeout_causes = Value::Object(
             TimeoutCause::ALL
@@ -512,41 +372,36 @@ mod tests {
 
     #[test]
     fn counters_accumulate_by_phase_and_cause() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), Some(Cause::TraceCollection), 3, 0));
-        reg.record(&ev(Some(Phase::Trace), Some(Cause::TraceCollection), 3, 1));
-        reg.record(&ev(Some(Phase::Explore), Some(Cause::H2), 5, 0));
-        reg.record(&ev(None, None, 9, 0));
+        let mut m = Metrics::default();
+        m.record(&ev(Some(Phase::Trace), Some(Cause::TraceCollection), 3, 0));
+        m.record(&ev(Some(Phase::Trace), Some(Cause::TraceCollection), 3, 1));
+        m.record(&ev(Some(Phase::Explore), Some(Cause::H2), 5, 0));
+        m.record(&ev(None, None, 9, 0));
 
-        assert_eq!(reg.sent_in(Phase::Trace), 2);
-        assert_eq!(reg.sent_in(Phase::Explore), 1);
-        assert_eq!(reg.sent_unattributed(), 1);
-        assert_eq!(reg.sent_total(), 4);
-        assert_eq!(reg.sent_for(Cause::H2), 1);
-
-        let snap = reg.snapshot();
-        assert_eq!(snap.sent_total(), 4);
-        assert_eq!(snap.retries_in(Phase::Trace), 1);
-        assert_eq!(snap.outcome_in(Phase::Trace, Outcome::Timeout), 1);
-        assert_eq!(snap.outcome_in(Phase::Trace, Outcome::DirectReply), 1);
+        assert_eq!(m.sent_in(Phase::Trace), 2);
+        assert_eq!(m.sent_in(Phase::Explore), 1);
+        assert_eq!(m.sent_unattributed(), 1);
+        assert_eq!(m.sent_total(), 4);
+        assert_eq!(m.sent_for(Cause::H2), 1);
+        assert_eq!(m.retries_in(Phase::Trace), 1);
+        assert_eq!(m.outcome_in(Phase::Trace, Outcome::Timeout), 1);
+        assert_eq!(m.outcome_in(Phase::Trace, Outcome::DirectReply), 1);
     }
 
     #[test]
     fn timeout_causes_accumulate_and_render() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), None, 3, 1));
+        let mut m = Metrics::default();
+        m.record(&ev(Some(Phase::Trace), None, 3, 1));
         let mut lost = ev(Some(Phase::Explore), None, 5, 0);
         lost.outcome = Outcome::Timeout;
         lost.timeout_cause = Some(TimeoutCause::ForwardLoss);
-        reg.record(&lost);
-        assert_eq!(reg.timeouts_for(TimeoutCause::PolicySilence), 1);
-        assert_eq!(reg.timeouts_for(TimeoutCause::ForwardLoss), 1);
-        let snap = reg.snapshot();
-        assert_eq!(snap.timeouts_attributed(), 2);
-        let table = snap.render_table();
+        m.record(&lost);
+        assert_eq!(m.timeouts_for(TimeoutCause::PolicySilence), 1);
+        assert_eq!(m.timeouts_for(TimeoutCause::ForwardLoss), 1);
+        let table = m.render_table();
         assert!(table.contains("timeout cause"), "{table}");
         assert!(table.contains("forward_loss"), "{table}");
-        let v = snap.to_json();
+        let v = m.to_json();
         assert_eq!(v["timeout_causes"]["forward_loss"], 1u64);
         assert!(v["timeout_causes"]["link_down"].is_null(), "zero causes omitted");
     }
@@ -566,10 +421,10 @@ mod tests {
 
     #[test]
     fn snapshot_json_has_expected_shape() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Position), Some(Cause::DistanceSearch), 4, 0));
-        reg.record_hop_cost(3);
-        let v = reg.snapshot().to_json();
+        let mut m = Metrics::default();
+        m.record(&ev(Some(Phase::Position), Some(Cause::DistanceSearch), 4, 0));
+        m.fold_hop(3, []);
+        let v = m.to_json();
         assert_eq!(v["total_sent"], 1u64);
         assert_eq!(v["phases"]["position"]["sent"], 1u64);
         assert_eq!(v["phases"]["position"]["outcomes"]["direct_reply"], 1u64);
@@ -580,46 +435,38 @@ mod tests {
 
     #[test]
     fn cache_counters_accumulate_and_render() {
-        let reg = Registry::new();
-        reg.record_cache(CacheOutcome::Miss);
-        reg.record_cache(CacheOutcome::Hit);
-        reg.record_cache(CacheOutcome::Hit);
-        reg.record_cache(CacheOutcome::Skip);
-        assert_eq!(reg.cache_count(CacheOutcome::Hit), 2);
-        let snap = reg.snapshot();
-        assert_eq!(snap.cache_count(CacheOutcome::Hit), 2);
-        assert_eq!(snap.cache_count(CacheOutcome::Skip), 1);
-        assert_eq!(snap.cache_count(CacheOutcome::Miss), 1);
-        assert_eq!(snap.cache_lookups(), 4);
-        let table = snap.render_table();
+        let mut m = Metrics::default();
+        m.set_cache(2, 1, 1);
+        assert_eq!(m.cache_lookups(), 4);
+        let table = m.render_table();
         assert!(table.contains("subnet cache: 2 hits, 1 skips, 1 misses (4 lookups)"), "{table}");
-        let v = snap.to_json();
+        let v = m.to_json();
         assert_eq!(v["cache"]["hit"], 2u64);
+        assert_eq!(v["cache"]["skip"], 1u64);
         assert_eq!(v["cache"]["miss"], 1u64);
     }
 
     #[test]
     fn cache_line_hidden_when_no_lookups() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), None, 3, 0));
-        let table = reg.snapshot().render_table();
+        let mut m = Metrics::default();
+        m.record(&ev(Some(Phase::Trace), None, 3, 0));
+        let table = m.render_table();
         assert!(!table.contains("subnet cache"), "{table}");
+        assert_eq!(m.to_json()["cache"]["miss"], 0u64, "the JSON always lists the cache");
     }
 
     #[test]
     fn phase_tick_histogram_accumulates_and_renders() {
-        let reg = Registry::new();
-        reg.record_phase_ticks(Phase::Trace, 3);
-        reg.record_phase_ticks(Phase::Explore, 100);
-        reg.record_phase_ticks(Phase::Explore, 5000);
-        assert_eq!(reg.phase_tick_count(Phase::Explore), 2);
-        assert_eq!(reg.phase_tick_total(Phase::Explore), 5100);
+        let mut m = Metrics::default();
+        m.fold_hop(1, [(Phase::Trace, 3), (Phase::Explore, 100)]);
+        m.fold_hop(9, [(Phase::Explore, 5000)]);
+        assert_eq!(m.phase_tick_count(Phase::Explore), 2);
+        assert_eq!(m.phase_tick_total(Phase::Explore), 5100);
+        assert_eq!(m.phase_tick_count(Phase::Trace), 1);
+        assert_eq!(m.phase_tick_total(Phase::Trace), 3);
+        assert_eq!(m.phase_tick_count(Phase::Position), 0, "a skipped phase is not measured");
 
-        let snap = reg.snapshot();
-        assert_eq!(snap.phase_tick_count(Phase::Trace), 1);
-        assert_eq!(snap.phase_tick_total(Phase::Trace), 3);
-
-        let v = snap.to_json();
+        let v = m.to_json();
         assert_eq!(v["phase_latency"]["explore"]["count"], 2u64);
         assert_eq!(v["phase_latency"]["explore"]["total_ticks"], 5100u64);
         // 100 lands in [64, 256); 5000 overflows into the "inf" bucket.
@@ -627,24 +474,24 @@ mod tests {
         assert_eq!(v["phase_latency"]["explore"]["buckets"][6]["le"], "inf");
         assert_eq!(v["phase_latency"]["explore"]["buckets"][6]["count"], 1u64);
 
-        let table = snap.render_table();
+        let table = m.render_table();
         assert!(table.contains("phase latency"), "{table}");
         assert!(table.contains("2550.0"), "explore average rendered: {table}");
     }
 
     #[test]
     fn phase_latency_section_hidden_without_measurements() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), None, 3, 0));
-        let table = reg.snapshot().render_table();
+        let mut m = Metrics::default();
+        m.record(&ev(Some(Phase::Trace), None, 3, 0));
+        let table = m.render_table();
         assert!(!table.contains("phase latency"), "{table}");
     }
 
     #[test]
     fn render_table_lists_phases_and_causes() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Explore), Some(Cause::H5), 6, 0));
-        let table = reg.snapshot().render_table();
+        let mut m = Metrics::default();
+        m.record(&ev(Some(Phase::Explore), Some(Cause::H5), 6, 0));
+        let table = m.render_table();
         assert!(table.contains("explore"), "{table}");
         assert!(table.contains("h5"), "{table}");
         assert!(table.contains("total"), "{table}");

@@ -1,15 +1,11 @@
 //! The recorder: what a prober carries to report its wire attempts.
 
-use std::sync::Arc;
-
 use crate::ctx;
 use crate::decision::DecisionEvent;
-use crate::event::{Phase, ProbeEvent};
-use crate::metrics::Registry;
+use crate::event::ProbeEvent;
 use crate::sink::SinkHandle;
 
-/// Bundles an event sink and a metrics registry behind one cheap
-/// enabled check.
+/// One event sink and a session tag, behind one cheap enabled check.
 ///
 /// Probers hold a `Recorder` and call [`Recorder::record`] once per
 /// wire attempt, passing a closure that builds the event. When the
@@ -22,7 +18,6 @@ use crate::sink::SinkHandle;
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     sink: SinkHandle,
-    metrics: Option<Arc<Registry>>,
     session: Option<u64>,
 }
 
@@ -32,8 +27,7 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// Starts from a disabled recorder; chain [`Recorder::with_sink`] /
-    /// [`Recorder::with_metrics`].
+    /// Starts from a disabled recorder; chain [`Recorder::with_sink`].
     pub fn new() -> Recorder {
         Recorder::default()
     }
@@ -41,12 +35,6 @@ impl Recorder {
     /// Attaches an event sink.
     pub fn with_sink(mut self, sink: SinkHandle) -> Recorder {
         self.sink = sink;
-        self
-    }
-
-    /// Attaches a metrics registry.
-    pub fn with_metrics(mut self, metrics: Arc<Registry>) -> Recorder {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -63,17 +51,12 @@ impl Recorder {
         self.session
     }
 
-    /// Whether any observer is attached.
+    /// Whether a sink is attached.
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_enabled() || self.metrics.is_some()
+        self.sink.is_enabled()
     }
 
-    /// The attached registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<Registry>> {
-        self.metrics.as_ref()
-    }
-
-    /// Records one wire attempt. `build` runs only when an observer is
+    /// Records one wire attempt. `build` runs only when a sink is
     /// attached; the recorder stamps the event with the thread's
     /// current phase/cause attribution before dispatching it.
     #[inline]
@@ -86,19 +69,15 @@ impl Recorder {
         event.phase = phase;
         event.cause = cause;
         event.session = self.session;
-        if let Some(metrics) = &self.metrics {
-            metrics.record(&event);
-        }
         self.sink.emit(&event);
     }
 
     /// Records one pipeline decision. `build` runs only when a sink is
     /// attached; the recorder stamps the session tag and the thread's
     /// current phase/cause attribution (when the builder left them
-    /// unset) before dispatching. Decisions feed sinks only — the
-    /// metrics registry counts wire traffic.
+    /// unset) before dispatching.
     pub fn record_decision(&self, build: impl FnOnce() -> DecisionEvent) {
-        if !self.sink.is_enabled() {
+        if !self.is_enabled() {
             return;
         }
         let mut decision = build();
@@ -107,30 +86,6 @@ impl Recorder {
         decision.cause = decision.cause.or(cause);
         decision.session = self.session;
         self.sink.emit_decision(&decision);
-    }
-
-    /// Records the wall-tick latency of one completed session phase, if
-    /// metrics are attached.
-    pub fn record_phase_ticks(&self, phase: Phase, ticks: u64) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_phase_ticks(phase, ticks);
-        }
-    }
-
-    /// Records the probe cost of one collected hop, if metrics are
-    /// attached.
-    pub fn record_hop_cost(&self, probes: u64) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_hop_cost(probes);
-        }
-    }
-
-    /// Records one cross-session subnet-cache lookup, if metrics are
-    /// attached.
-    pub fn record_cache(&self, outcome: crate::metrics::CacheOutcome) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_cache(outcome);
-        }
     }
 
     /// Flushes the sink, if any.
@@ -173,12 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn record_stamps_attribution_and_feeds_both_observers() {
+    fn record_stamps_attribution() {
         let sink = VecSink::new();
         let reader = sink.clone();
-        let metrics = Arc::new(Registry::new());
-        let recorder =
-            Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&metrics));
+        let recorder = Recorder::new().with_sink(SinkHandle::new(sink));
         assert!(recorder.is_enabled());
 
         {
@@ -193,18 +146,7 @@ mod tests {
         assert_eq!(events[0].phase, Some(Phase::Explore));
         assert_eq!(events[0].cause, Some(Cause::H3));
         assert_eq!(events[1].phase, None);
-        assert_eq!(metrics.sent_in(Phase::Explore), 1);
-        assert_eq!(metrics.sent_unattributed(), 1);
-        assert_eq!(metrics.sent_for(Cause::H3), 1);
-    }
-
-    #[test]
-    fn metrics_only_recorder_counts_without_a_sink() {
-        let metrics = Arc::new(Registry::new());
-        let recorder = Recorder::new().with_metrics(Arc::clone(&metrics));
-        recorder.record(ev);
-        recorder.record_hop_cost(4);
-        assert_eq!(metrics.sent_total(), 1);
+        assert_eq!(events[1].cause, None);
     }
 
     #[test]
@@ -235,12 +177,5 @@ mod tests {
         assert_eq!(decisions[0].session, Some(5));
         assert_eq!(decisions[0].phase, Some(Phase::Position), "ctx phase stamped");
         assert_eq!(decisions[0].cause, Some(Cause::OnPathCheck), "explicit cause kept");
-    }
-
-    #[test]
-    fn decisions_need_a_sink_not_metrics() {
-        let metrics = Arc::new(Registry::new());
-        let recorder = Recorder::new().with_metrics(Arc::clone(&metrics));
-        recorder.record_decision(|| unreachable!("no sink: closure must not run"));
     }
 }

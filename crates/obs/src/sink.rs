@@ -31,15 +31,6 @@ pub trait EventSink: Send {
     }
 }
 
-/// Drops every event. Useful to exercise the recording path with no
-/// observable output (e.g. overhead measurements).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: &ProbeEvent) {}
-}
-
 /// Collects events in memory behind a shared handle — the test sink.
 ///
 /// Cloning shares the underlying buffer, so a test can keep one clone
@@ -113,7 +104,13 @@ impl SinkHandle {
 
     /// Wraps a sink for sharing.
     pub fn new(sink: impl EventSink + 'static) -> SinkHandle {
-        SinkHandle { inner: Some(Arc::new(Mutex::new(sink))) }
+        SinkHandle::shared(Arc::new(Mutex::new(sink)))
+    }
+
+    /// Installs a sink the caller keeps a typed handle to, so it can
+    /// read the sink's state back after the run.
+    pub fn shared<S: EventSink + 'static>(sink: Arc<Mutex<S>>) -> SinkHandle {
+        SinkHandle { inner: Some(sink) }
     }
 
     /// Whether a sink is installed.

@@ -1,6 +1,6 @@
 //! The exchange log under concurrent writers, as `record --jobs N`
 //! drives it: interleaved sessions must produce a torn-free line stream
-//! whose probe count agrees exactly with the metrics registry, and
+//! whose probe count agrees exactly with what the writers sent, and
 //! whose per-session content is reproducible from the fixed seed that
 //! generated it.
 
@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use inet::Addr;
 use obs::{
     ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, Outcome, Phase, ProbeEvent,
-    Recorder, Registry, SinkHandle, FORMAT_VERSION,
+    Recorder, SinkHandle, FORMAT_VERSION,
 };
 use wire::Protocol;
 
@@ -44,7 +44,7 @@ fn event(session: u64, n: u64) -> ProbeEvent {
 }
 
 #[test]
-fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
+fn concurrent_writers_tear_no_lines_and_count_every_probe() {
     let path =
         std::env::temp_dir().join(format!("tracenet-obs-concurrency-{}.jsonl", std::process::id()));
     let header = ExchangeHeader {
@@ -56,10 +56,8 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
         options: serde_json::Value::Null,
     };
     let writer = Arc::new(Mutex::new(ExchangeWriter::create(&path, &header).expect("create log")));
-    let registry = Arc::new(Registry::new());
-    let recorder = Recorder::new()
-        .with_sink(SinkHandle::new(ExchangeSink::new(Arc::clone(&writer))))
-        .with_metrics(Arc::clone(&registry));
+    let recorder =
+        Recorder::new().with_sink(SinkHandle::new(ExchangeSink::new(Arc::clone(&writer))));
 
     std::thread::scope(|scope| {
         for session in 0..WRITERS {
@@ -83,10 +81,13 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
         assert!(session < WRITERS, "unknown session {session}");
     }
 
-    // The line count equals what the registry metered.
+    // The line count equals what the writers sent, and the folded
+    // accounting sees every line in the writers' phase.
     let total = log.events.len() as u64;
     assert_eq!(total, WRITERS * EVENTS_PER_WRITER);
-    assert_eq!(registry.snapshot().sent_total(), total);
+    let mut metrics = obs::Metrics::default();
+    log.events.iter().for_each(|e| metrics.record(e));
+    assert_eq!(metrics.sent_in(Phase::Trace), total);
 
     // Within a session, emission order is preserved and every event is
     // exactly the one the fixed seed generates — the stream replays.

@@ -141,11 +141,6 @@ impl ReplayProber {
     pub fn remaining(&self) -> usize {
         self.script.len()
     }
-
-    /// Logical probes consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
 }
 
 /// Rebuilds the prober-level outcome from a logged attempt.

@@ -196,10 +196,13 @@ pub fn from_json(text: &str) -> Result<Scenario, LoadError> {
 
     let mut vantages = Vec::new();
     for w in as_array(&v["vantages"], "vantages")? {
-        vantages.push((
-            as_str(&w["name"], "vantage name")?.to_string(),
-            parse_addr(&w["addr"], "vantage addr")?,
-        ));
+        let name = as_str(&w["name"], "vantage name")?.to_string();
+        let addr = parse_addr(&w["addr"], "vantage addr")?;
+        // Probes are sourced at the vantage, so it must be an interface.
+        if topology.owner_of(addr).is_none() {
+            return Err(shape(format!("vantage {name:?} ({addr}) is not an interface")));
+        }
+        vantages.push((name, addr));
     }
     let targets: Vec<Addr> = as_array(&v["targets"], "targets")?
         .iter()
@@ -241,10 +244,15 @@ fn config_from_json(v: &Value) -> Result<RouterConfig, LoadError> {
     c.rate_limit = match &v["rate_limit"] {
         Value::Null => None,
         rl => Some(RateLimit {
-            capacity: rl["capacity"].as_u64().ok_or_else(|| shape("rate_limit.capacity"))? as u32,
+            capacity: rl["capacity"]
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| shape("rate_limit.capacity must be a u32"))?,
+            // The engine refills one token every `refill_every` ticks.
             refill_every: rl["refill_every"]
                 .as_u64()
-                .ok_or_else(|| shape("rate_limit.refill_every"))?,
+                .filter(|&n| n > 0)
+                .ok_or_else(|| shape("rate_limit.refill_every must be a positive integer"))?,
         }),
     };
     c.lb = match v["lb"].as_str() {
@@ -362,6 +370,46 @@ mod tests {
         assert!(matches!(from_json("{}"), Err(LoadError::Shape(_))));
         let wrong = r#"{"format": "tracenet-scenario/99"}"#;
         assert!(matches!(from_json(wrong), Err(LoadError::Shape(_))));
+    }
+
+    /// `random_topology(1, 2)` as JSON with `rate_limit` on router 0.
+    fn with_rate_limit(rate_limit: serde_json::Value) -> String {
+        let mut v: serde_json::Value =
+            serde_json::from_str(&to_json(&random_topology(1, 2))).unwrap();
+        v["routers"][0]["config"]["rate_limit"] = rate_limit;
+        v.to_string()
+    }
+
+    #[test]
+    fn accepts_a_well_formed_rate_limit() {
+        let s = from_json(&with_rate_limit(serde_json::json!({"capacity": 5, "refill_every": 3})))
+            .expect("a positive refill period loads");
+        let rl = s.topology.routers()[0].config.rate_limit.expect("rate limit kept");
+        assert_eq!((rl.capacity, rl.refill_every), (5, 3));
+    }
+
+    #[test]
+    fn rejects_a_zero_refill_period() {
+        let text = with_rate_limit(serde_json::json!({"capacity": 5, "refill_every": 0}));
+        let err = from_json(&text).unwrap_err();
+        assert!(err.to_string().contains("rate_limit.refill_every"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_capacity_beyond_u32() {
+        let cap = u64::from(u32::MAX) + 1;
+        let text = with_rate_limit(serde_json::json!({"capacity": cap, "refill_every": 3}));
+        let err = from_json(&text).unwrap_err();
+        assert!(err.to_string().contains("rate_limit.capacity"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_vantage_that_is_not_an_interface() {
+        let mut v: serde_json::Value =
+            serde_json::from_str(&to_json(&random_topology(1, 2))).unwrap();
+        v["vantages"][0]["addr"] = serde_json::json!("203.0.113.9");
+        let err = from_json(&v.to_string()).unwrap_err();
+        assert!(err.to_string().contains("203.0.113.9) is not an interface"), "{err}");
     }
 
     #[test]

@@ -171,10 +171,14 @@ impl obs::EventSink for ViewSink {
     }
 
     fn emit_decision(&mut self, d: &obs::DecisionEvent) {
-        if self.verbosity >= 1 {
-            let session = d.session.map_or_else(|| "-".to_string(), |k| k.to_string());
-            let _ = writeln!(std::io::stderr(), "session {session} hop {} {d}", d.hop);
-        }
+        let session = d.session.map_or_else(|| "-".to_string(), |k| k.to_string());
+        let _ = writeln!(std::io::stderr(), "session {session} hop {} {d}", d.hop);
+    }
+
+    /// Only `-v` prints decisions; below it the recorder skips building
+    /// them.
+    fn wants_decisions(&self) -> bool {
+        self.verbosity >= 1
     }
 
     fn flush(&mut self) -> std::io::Result<()> {

@@ -43,10 +43,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use inet::Addr;
+use obs::TimeoutCause;
 use parking_lot::Mutex;
 use wire::{builder, IcmpMessage, Packet, Payload, UnreachableCode};
 
-use crate::events::{Event, SilenceReason};
+use crate::events::Event;
 use crate::fault::FaultPlan;
 use crate::policy::{LbMode, ResponsePolicy};
 use crate::routing::RoutingTable;
@@ -62,7 +63,7 @@ pub enum Verdict {
     /// The network produced this reply packet.
     Reply(Packet),
     /// The probe drew no response.
-    Silent(SilenceReason),
+    Silent(TimeoutCause),
 }
 
 impl Verdict {
@@ -74,8 +75,8 @@ impl Verdict {
         }
     }
 
-    /// The silence reason, if silent.
-    pub fn silence(&self) -> Option<SilenceReason> {
+    /// Why the probe drew no response, if silent.
+    pub fn silence(&self) -> Option<TimeoutCause> {
         match self {
             Verdict::Reply(_) => None,
             Verdict::Silent(r) => Some(*r),
@@ -169,11 +170,6 @@ impl Network {
         self.fault = plan;
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault
-    }
-
     /// Enables path fluctuations: every `period` injected packets the ECMP
     /// hash epoch advances, re-rolling load-balancer decisions (§3.7).
     pub fn with_fluctuation(mut self, period: u64) -> Network {
@@ -251,7 +247,7 @@ impl Network {
                 let tick = self.bump_tick();
                 (self.inject_with(&p, tick, &mut None), tick)
             }
-            Err(_) => (Verdict::Silent(SilenceReason::Malformed), self.bump_tick()),
+            Err(_) => (Verdict::Silent(TimeoutCause::Malformed), self.bump_tick()),
         }
     }
 
@@ -264,7 +260,7 @@ impl Network {
         // logged) but never makes it back to the caller.
         let verdict = match verdict {
             Verdict::Reply(_) if self.fault.is_some_and(|plan| plan.drops_reply(tick)) => {
-                Verdict::Silent(SilenceReason::ReplyLoss)
+                Verdict::Silent(TimeoutCause::ReplyLoss)
             }
             v => v,
         };
@@ -277,7 +273,7 @@ impl Network {
     fn walk(&self, probe: &Packet, tick: u64, sink: &mut Sink<'_>) -> Verdict {
         let origin = match self.topo.owner_of(probe.header.src) {
             Some(r) => r,
-            None => return Verdict::Silent(SilenceReason::UnknownSource),
+            None => return Verdict::Silent(TimeoutCause::UnknownSource),
         };
         let dst = probe.header.dst;
 
@@ -288,7 +284,7 @@ impl Network {
             Some(ifid) => self.topo.iface(ifid).subnet,
             None => match self.topo.subnet_containing(dst) {
                 Some(sn) => sn,
-                None => return Verdict::Silent(SilenceReason::NoRoute),
+                None => return Verdict::Silent(TimeoutCause::NoRoute),
             },
         };
 
@@ -333,7 +329,7 @@ impl Network {
             // 3. Forward over the ECMP set derived from the routing
             // table — no per-hop allocation.
             let Some(toward) = toward else {
-                return Verdict::Silent(SilenceReason::NoRoute);
+                return Verdict::Silent(TimeoutCause::NoRoute);
             };
             let hops = self.routing.next_hops(current, toward);
             // Fault-plan link filtering: balance over the live hops in
@@ -349,20 +345,20 @@ impl Network {
             };
             let Some((next, via)) = chosen else {
                 return Verdict::Silent(match hops.clone().next() {
-                    None => SilenceReason::NoRoute,
-                    Some(_) => SilenceReason::LinkDown,
+                    None => TimeoutCause::NoRoute,
+                    Some(_) => TimeoutCause::LinkDown,
                 });
             };
             if let Some(plan) = self.fault {
                 if plan.drops_forward(tick, step as u64, via, current) {
-                    return Verdict::Silent(SilenceReason::ForwardLoss);
+                    return Verdict::Silent(TimeoutCause::ForwardLoss);
                 }
             }
             log(sink, Event::Forwarded { from: current, to: next });
             current = next;
             prev_subnet = Some(via);
         }
-        Verdict::Silent(SilenceReason::NoRoute)
+        Verdict::Silent(TimeoutCause::NoRoute)
     }
 
     /// Picks one next hop from an ECMP set (`None` when it is empty). A
@@ -421,18 +417,18 @@ impl Network {
 
         let sn = self.topo.subnet(dst_subnet);
         if sn.filtered || sn.filtered_sources.contains(&probe.header.src) {
-            return Verdict::Silent(SilenceReason::Filtered);
+            return Verdict::Silent(TimeoutCause::Filtered);
         }
         let Some(ifid) = assigned_iface else {
             // Unassigned address inside an attached subnet.
             if !config.unreachable_replies {
-                return Verdict::Silent(SilenceReason::Unassigned);
+                return Verdict::Silent(TimeoutCause::Unassigned);
             }
             let Some(src) = self.reply_src(config.indirect, at, prev_subnet, origin, None) else {
-                return Verdict::Silent(SilenceReason::PolicySilence);
+                return Verdict::Silent(TimeoutCause::PolicySilence);
             };
             if !self.take_token(at, tick) {
-                return Verdict::Silent(SilenceReason::RateLimited);
+                return Verdict::Silent(TimeoutCause::RateLimited);
             }
             let reply = builder::unreachable(probe, src, UnreachableCode::Host);
             log(sink, Event::Replied { from: at, src });
@@ -441,25 +437,25 @@ impl Network {
 
         let iface = self.topo.iface(ifid).clone();
         if !iface.responsive || !config.direct_protos.allows(proto) {
-            return Verdict::Silent(SilenceReason::PolicySilence);
+            return Verdict::Silent(TimeoutCause::PolicySilence);
         }
         let Some(src) = self.reply_src(config.direct, at, prev_subnet, origin, Some(iface.addr))
         else {
-            return Verdict::Silent(SilenceReason::PolicySilence);
+            return Verdict::Silent(TimeoutCause::PolicySilence);
         };
         let reply = match &probe.payload {
             Payload::Icmp(IcmpMessage::EchoRequest { .. }) => {
                 builder::echo_reply(probe, src).expect("echo request")
             }
-            Payload::Icmp(_) => return Verdict::Silent(SilenceReason::PolicySilence),
+            Payload::Icmp(_) => return Verdict::Silent(TimeoutCause::PolicySilence),
             Payload::Udp(_) => builder::unreachable(probe, src, UnreachableCode::Port),
             Payload::Tcp(seg) if seg.flags.syn() => {
                 builder::tcp_rst(probe, src).expect("syn probe")
             }
-            Payload::Tcp(_) => return Verdict::Silent(SilenceReason::PolicySilence),
+            Payload::Tcp(_) => return Verdict::Silent(TimeoutCause::PolicySilence),
         };
         if !self.take_token(at, tick) {
-            return Verdict::Silent(SilenceReason::RateLimited);
+            return Verdict::Silent(TimeoutCause::RateLimited);
         }
         log(sink, Event::Replied { from: at, src });
         Verdict::Reply(reply)
@@ -477,7 +473,7 @@ impl Network {
     ) -> Verdict {
         let config = self.topo.router(at).config;
         if !config.indirect_protos.allows(probe.header.protocol) {
-            return Verdict::Silent(SilenceReason::TtlExpiredSilently);
+            return Verdict::Silent(TimeoutCause::TtlExpiredSilently);
         }
         // "a router cannot be configured as probed interface router for
         // indirect queries" (§3.1): treat Probed as Incoming here.
@@ -486,10 +482,10 @@ impl Network {
             p => p,
         };
         let Some(src) = self.reply_src(policy, at, prev_subnet, origin, None) else {
-            return Verdict::Silent(SilenceReason::TtlExpiredSilently);
+            return Verdict::Silent(TimeoutCause::TtlExpiredSilently);
         };
         if !self.take_token(at, tick) {
-            return Verdict::Silent(SilenceReason::RateLimited);
+            return Verdict::Silent(TimeoutCause::RateLimited);
         }
         let reply = builder::ttl_exceeded(probe, src);
         log(sink, Event::Replied { from: at, src });
@@ -673,9 +669,9 @@ mod tests {
     fn unknown_source_and_no_route_are_silent() {
         let (net, v, _) = chain_net();
         let bogus = icmp_probe(a("99.99.99.99"), v, 64, 1, 1);
-        assert_eq!(net.inject(&bogus).silence(), Some(SilenceReason::UnknownSource));
+        assert_eq!(net.inject(&bogus).silence(), Some(TimeoutCause::UnknownSource));
         let unrouted = icmp_probe(v, a("99.99.99.99"), 64, 1, 1);
-        assert_eq!(net.inject(&unrouted).silence(), Some(SilenceReason::NoRoute));
+        assert_eq!(net.inject(&unrouted).silence(), Some(TimeoutCause::NoRoute));
     }
 
     #[test]
@@ -690,7 +686,7 @@ mod tests {
         b.attach(r1, lan, a("10.0.0.2")).unwrap();
         let net = Network::new(b.build().unwrap());
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.0.5"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::Unassigned));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::Unassigned));
     }
 
     #[test]
@@ -728,10 +724,10 @@ mod tests {
         let net = Network::new(b.build().unwrap());
         // Assigned address behind the firewall: silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.1.1"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::Filtered));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::Filtered));
         // Unassigned address behind the firewall: also silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.1.5"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::Filtered));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::Filtered));
     }
 
     #[test]
@@ -752,7 +748,7 @@ mod tests {
         let net = Network::new(b.build().unwrap());
         // Direct probe to the unresponsive interface: silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.2"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::PolicySilence));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::PolicySilence));
         // But traffic still flows through r1 to the destination.
         let reply =
             net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 64, 1, 2)).reply().unwrap();
@@ -776,11 +772,11 @@ mod tests {
         assert!(net.inject(&icmp_probe(v_addr, t, 64, 1, 1)).reply().is_some());
         assert_eq!(
             net.inject(&udp_probe(v_addr, t, 64, 1, 33434)).silence(),
-            Some(SilenceReason::PolicySilence)
+            Some(TimeoutCause::PolicySilence)
         );
         assert_eq!(
             net.inject(&tcp_probe(v_addr, t, 64, 1, 80)).silence(),
-            Some(SilenceReason::PolicySilence)
+            Some(TimeoutCause::PolicySilence)
         );
     }
 
@@ -798,7 +794,7 @@ mod tests {
         b.attach(d, l2, a("10.0.0.3")).unwrap();
         let net = Network::new(b.build().unwrap());
         let verdict = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 1, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::TtlExpiredSilently));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::TtlExpiredSilently));
         // The destination is still reachable through it.
         assert!(net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 64, 1, 2)).reply().is_some());
     }
@@ -878,7 +874,7 @@ mod tests {
         for _ in 0..3 {
             assert!(net.inject(&probe).reply().is_some());
         }
-        assert_eq!(net.inject(&probe).silence(), Some(SilenceReason::RateLimited));
+        assert_eq!(net.inject(&probe).silence(), Some(TimeoutCause::RateLimited));
         // After ~100 quiet ticks the bucket refills one token.
         for _ in 0..100 {
             let _ = net.inject(&icmp_probe(a("10.0.0.0"), a("99.0.0.1"), 64, 1, 1));
@@ -932,7 +928,7 @@ mod tests {
             Verdict::Reply(r) => assert_eq!(r.header.src, d),
             other => panic!("unexpected verdict {other:?}"),
         }
-        assert_eq!(net.inject_bytes(&[0xff; 9]).silence(), Some(SilenceReason::Malformed));
+        assert_eq!(net.inject_bytes(&[0xff; 9]).silence(), Some(TimeoutCause::Malformed));
     }
 
     #[test]
@@ -955,7 +951,7 @@ mod tests {
         plan.reply_loss = 1.0;
         net.set_fault_plan(Some(plan));
         let verdict = net.inject(&icmp_probe(v, d, 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::ReplyLoss));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::ReplyLoss));
     }
 
     #[test]
@@ -968,7 +964,7 @@ mod tests {
         assert!(net.inject(&icmp_probe(v, d, 64, 1, 1)).reply().is_some());
         net.advance(10);
         let verdict = net.inject(&icmp_probe(v, d, 64, 1, 2));
-        assert_eq!(verdict.silence(), Some(SilenceReason::LinkDown));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::LinkDown));
     }
 
     #[test]
@@ -982,7 +978,7 @@ mod tests {
         let probe = icmp_probe(v, d, 64, 1, 1);
         assert!(net.inject(&probe).reply().is_some());
         assert!(net.inject(&probe).reply().is_some());
-        assert_eq!(net.inject(&probe).silence(), Some(SilenceReason::RateLimited));
+        assert_eq!(net.inject(&probe).silence(), Some(TimeoutCause::RateLimited));
         // Outside the active window the cap is gone.
         net.advance(600);
         assert!(net.inject(&probe).reply().is_some());
@@ -1014,7 +1010,7 @@ mod tests {
         let (_, t1) = net.inject_bytes_ticked(&probe.encode());
         let (v2, t2) = net.inject_bytes_ticked(&[0xff; 9]);
         assert_eq!((t1, t2), (1, 2), "malformed bytes still consume a tick");
-        assert_eq!(v2.silence(), Some(SilenceReason::Malformed));
+        assert_eq!(v2.silence(), Some(TimeoutCause::Malformed));
     }
 
     #[test]

@@ -2,44 +2,9 @@
 //! debugging.
 
 use inet::Addr;
+use obs::TimeoutCause;
 
 use crate::topology::RouterId;
-
-/// Why an injected probe produced no reply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SilenceReason {
-    /// The source address of the injected packet is not an interface of
-    /// any host in the topology.
-    UnknownSource,
-    /// No subnet covers the destination address; the packet fell off the
-    /// routed universe.
-    NoRoute,
-    /// The destination subnet is behind a filtering firewall.
-    Filtered,
-    /// The destination address lies in a known subnet but is unassigned,
-    /// and the delivering router is configured not to send Host
-    /// Unreachable.
-    Unassigned,
-    /// The packet was delivered but the interface/owner does not respond
-    /// (unresponsive interface, nil policy, or protocol not answered).
-    PolicySilence,
-    /// TTL expired at a router that does not emit TTL-exceeded for this
-    /// protocol (or is nil-configured).
-    TtlExpiredSilently,
-    /// A reply was due but the router's ICMP rate limiter had no token.
-    RateLimited,
-    /// The packet could not be decoded as a supported probe.
-    Malformed,
-    /// An injected fault dropped the packet on the forward path
-    /// (transient per-link or per-router loss from the fault plan).
-    ForwardLoss,
-    /// A reply was generated but an injected fault lost it on the
-    /// reverse path.
-    ReplyLoss,
-    /// Every candidate next hop was on a link the fault plan holds down
-    /// (flap or withdrawal).
-    LinkDown,
-}
 
 /// One step in a packet's walk through the network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +45,7 @@ pub enum Event {
     /// The walk ended silently.
     Dropped {
         /// Why nothing came back.
-        reason: SilenceReason,
+        reason: TimeoutCause,
     },
 }
 
@@ -91,12 +56,12 @@ mod tests {
     #[test]
     fn events_are_comparable() {
         assert_eq!(
-            Event::Dropped { reason: SilenceReason::NoRoute },
-            Event::Dropped { reason: SilenceReason::NoRoute }
+            Event::Dropped { reason: TimeoutCause::NoRoute },
+            Event::Dropped { reason: TimeoutCause::NoRoute }
         );
         assert_ne!(
-            Event::Dropped { reason: SilenceReason::NoRoute },
-            Event::Dropped { reason: SilenceReason::Filtered }
+            Event::Dropped { reason: TimeoutCause::NoRoute },
+            Event::Dropped { reason: TimeoutCause::Filtered }
         );
     }
 }

@@ -5,7 +5,8 @@
 use std::collections::BTreeMap;
 
 use inet::Addr;
-use netsim::{samples, Network, RateLimit, RouterConfig, SilenceReason, TopologyBuilder, Verdict};
+use netsim::{samples, Network, RateLimit, RouterConfig, TopologyBuilder, Verdict};
+use obs::TimeoutCause;
 use wire::builder::icmp_probe;
 
 const THREADS: usize = 8;
@@ -70,7 +71,7 @@ fn every_injection_claims_exactly_one_tick() {
                 for k in 0..PROBES_PER_THREAD {
                     if (t + k) % 5 == 0 {
                         let (verdict, _) = net.inject_bytes_ticked(&[0xff; 9]);
-                        assert_eq!(verdict.silence(), Some(SilenceReason::Malformed));
+                        assert_eq!(verdict.silence(), Some(TimeoutCause::Malformed));
                     } else {
                         let _ = net.inject(&icmp_probe(v, d, 64, t as u16, k as u16));
                     }
@@ -126,7 +127,7 @@ fn token_accounting_totals_match_the_sequential_engine() {
                         Verdict::Reply(_) => {
                             replies.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
-                        Verdict::Silent(r) => assert_eq!(r, SilenceReason::RateLimited),
+                        Verdict::Silent(r) => assert_eq!(r, TimeoutCause::RateLimited),
                     }
                 }
             });

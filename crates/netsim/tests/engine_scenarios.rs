@@ -3,7 +3,8 @@
 //! protocol-selective TTL generation.
 
 use inet::{Addr, Prefix};
-use netsim::{Network, ProtoSet, RouterConfig, SilenceReason, TopologyBuilder};
+use netsim::{Network, ProtoSet, RouterConfig, TopologyBuilder};
+use obs::TimeoutCause;
 use wire::builder::{icmp_probe, udp_probe};
 use wire::{IcmpMessage, Payload};
 
@@ -64,7 +65,7 @@ fn indirect_protocol_selectivity() {
     let icmp = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.1.1"), 1, 1, 1));
     assert!(icmp.reply().is_some(), "ICMP TTL-exceeded generated");
     let udp = net.inject(&udp_probe(a("10.0.0.0"), a("10.0.1.1"), 1, 50000, 33434));
-    assert_eq!(udp.silence(), Some(SilenceReason::TtlExpiredSilently));
+    assert_eq!(udp.silence(), Some(TimeoutCause::TtlExpiredSilently));
 }
 
 /// A filtered subnet in the *middle* of a path swallows probes destined
@@ -94,11 +95,11 @@ fn filtered_transit_subnet_still_forwards() {
     // Addresses *on* the filtered link: silent.
     assert_eq!(
         net.inject(&icmp_probe(src, a("10.0.1.0"), 64, 1, 2)).silence(),
-        Some(SilenceReason::Filtered)
+        Some(TimeoutCause::Filtered)
     );
     assert_eq!(
         net.inject(&icmp_probe(src, a("10.0.1.1"), 64, 1, 3)).silence(),
-        Some(SilenceReason::Filtered)
+        Some(TimeoutCause::Filtered)
     );
     // But the TTL-exceeded of a transit packet may still *name* a
     // filtered-link address (the reply is generated by the router, not
@@ -128,7 +129,7 @@ fn scoped_acl_discriminates_by_source() {
 
     assert_eq!(
         net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.2.1"), 64, 1, 1)).silence(),
-        Some(SilenceReason::Filtered),
+        Some(TimeoutCause::Filtered),
         "v1 is blocked"
     );
     let reply = net.inject(&icmp_probe(a("10.0.1.0"), a("10.0.2.1"), 64, 2, 1)).reply();

@@ -215,35 +215,47 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// Why a timed-out attempt drew no (accepted) reply, when the prober can
-/// tell. Mirrors the simulator's silence reasons plus [`StrayReply`]
+/// Why a probe drew no (accepted) reply, when it can be told.
+///
+/// The simulator says why each silent injection stayed silent with one
+/// of the first eleven causes; the simulated prober adds [`StrayReply`]
 /// (a reply arrived but failed validation). Live probers that cannot see
-/// into the network leave it unset.
+/// into the network leave the cause unset.
 ///
 /// [`StrayReply`]: TimeoutCause::StrayReply
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TimeoutCause {
-    /// The probe's source address is unknown to the network.
+    /// The source address of the probe is not an interface of any host
+    /// in the network.
     UnknownSource,
-    /// No route covered the destination.
+    /// No subnet covers the destination address; the probe fell off the
+    /// routed universe.
     NoRoute,
-    /// A filtering firewall swallowed the probe.
+    /// The destination subnet is behind a filtering firewall.
     Filtered,
-    /// Delivered to an unassigned address; no unreachable configured.
+    /// The destination address lies in a known subnet but is unassigned,
+    /// and the delivering router is configured not to send Host
+    /// Unreachable.
     Unassigned,
-    /// Delivered but the owner's response policy stayed silent.
+    /// The probe was delivered but the interface or its owner does not
+    /// respond (unresponsive interface, nil policy, or protocol not
+    /// answered).
     PolicySilence,
-    /// TTL expired at a router that does not answer for this protocol.
+    /// TTL expired at a router that does not emit TTL-exceeded for this
+    /// protocol (or is nil-configured).
     TtlExpiredSilently,
-    /// A reply was due but the router's rate limiter had no token.
+    /// A reply was due but the router's ICMP rate limiter had no token.
     RateLimited,
-    /// The probe could not be decoded on the wire.
+    /// The probe could not be decoded as a supported probe.
     Malformed,
-    /// An injected fault dropped the probe on the forward path.
+    /// An injected fault dropped the probe on the forward path
+    /// (transient per-link or per-router loss from the fault plan).
     ForwardLoss,
-    /// An injected fault lost the reply on the reverse path.
+    /// A reply was generated but an injected fault lost it on the
+    /// reverse path.
     ReplyLoss,
-    /// Every next-hop link was down (flap or withdrawal).
+    /// Every candidate next hop was on a link the fault plan holds down
+    /// (flap or withdrawal).
     LinkDown,
     /// A reply came back but was rejected by probe validation.
     StrayReply,
@@ -308,16 +320,19 @@ impl fmt::Display for TimeoutCause {
     }
 }
 
-/// Which flavour of ICMP unreachable an [`Outcome::Unreachable`] attempt
-/// drew. Mirrors the prober's unreachable kinds without depending on it,
-/// so replay tools can rebuild the exact outcome from a log line.
+/// Which flavour of ICMP destination unreachable (other than the UDP
+/// success reply, port unreachable) an [`Outcome::Unreachable`] attempt
+/// drew. The prober's outcomes carry it as is, so replay rebuilds the
+/// exact outcome from a log line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnreachReason {
-    /// ICMP host unreachable.
+    /// ICMP host unreachable. H7/H8 treat it like silence and fall back
+    /// to the /30 mate.
     Host,
     /// ICMP network unreachable.
     Net,
-    /// ICMP administratively prohibited.
+    /// ICMP administratively prohibited (a filtering firewall announcing
+    /// itself).
     AdminProhibited,
 }
 

@@ -72,12 +72,12 @@ impl Recorder {
         self.sink.emit(&event);
     }
 
-    /// Records one pipeline decision. `build` runs only when a sink is
-    /// attached; the recorder stamps the session tag and the thread's
-    /// current phase/cause attribution (when the builder left them
-    /// unset) before dispatching.
+    /// Records one pipeline decision. `build` runs only when a sink that
+    /// wants decisions is attached; the recorder stamps the session tag
+    /// and the thread's current phase/cause attribution (when the
+    /// builder left them unset) before dispatching.
     pub fn record_decision(&self, build: impl FnOnce() -> DecisionEvent) {
-        if !self.is_enabled() {
+        if !self.sink.wants_decisions() {
             return;
         }
         let mut decision = build();
@@ -125,6 +125,20 @@ mod tests {
         let recorder = Recorder::disabled();
         assert!(!recorder.is_enabled());
         recorder.record(|| unreachable!("closure must not run when disabled"));
+    }
+
+    #[test]
+    fn sink_without_decisions_never_builds_one() {
+        struct ProbesOnly;
+        impl crate::sink::EventSink for ProbesOnly {
+            fn emit(&mut self, _event: &ProbeEvent) {}
+            fn wants_decisions(&self) -> bool {
+                false
+            }
+        }
+        let recorder = Recorder::new().with_sink(SinkHandle::new(ProbesOnly));
+        assert!(recorder.is_enabled());
+        recorder.record_decision(|| unreachable!("closure must not run without a taker"));
     }
 
     #[test]

@@ -25,6 +25,14 @@ pub trait EventSink: Send {
     /// interleave decisions with probes.
     fn emit_decision(&mut self, _decision: &DecisionEvent) {}
 
+    /// Whether this sink consumes decisions at all. A [`SinkHandle`]
+    /// reads it once, when the sink is installed, and a recorder never
+    /// builds a decision for a sink that answers false, so the answer
+    /// must hold for the sink's whole lifetime. Defaults to true.
+    fn wants_decisions(&self) -> bool {
+        true
+    }
+
     /// Flushes any buffered output; called at session boundaries.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
@@ -94,6 +102,8 @@ impl EventSink for VecSink {
 #[derive(Clone, Default)]
 pub struct SinkHandle {
     inner: Option<Arc<Mutex<dyn EventSink>>>,
+    /// The sink's [`EventSink::wants_decisions`], read at install time.
+    decisions: bool,
 }
 
 impl SinkHandle {
@@ -110,7 +120,8 @@ impl SinkHandle {
     /// Installs a sink the caller keeps a typed handle to, so it can
     /// read the sink's state back after the run.
     pub fn shared<S: EventSink + 'static>(sink: Arc<Mutex<S>>) -> SinkHandle {
-        SinkHandle { inner: Some(sink) }
+        let decisions = sink.lock().expect("sink lock").wants_decisions();
+        SinkHandle { inner: Some(sink), decisions }
     }
 
     /// Whether a sink is installed.
@@ -125,9 +136,14 @@ impl SinkHandle {
         }
     }
 
-    /// Sends one decision to the sink, if any.
+    /// Whether a sink is installed and wants decisions.
+    pub(crate) fn wants_decisions(&self) -> bool {
+        self.decisions
+    }
+
+    /// Sends one decision to the sink, if any and it wants decisions.
     pub fn emit_decision(&self, decision: &DecisionEvent) {
-        if let Some(sink) = &self.inner {
+        if let Some(sink) = self.inner.as_ref().filter(|_| self.decisions) {
             sink.lock().expect("sink lock").emit_decision(decision);
         }
     }

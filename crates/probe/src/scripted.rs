@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 
 use inet::Addr;
-use obs::{ProbeEvent, Recorder};
 use wire::Protocol;
 
 use crate::outcome::ProbeOutcome;
@@ -33,7 +32,6 @@ pub struct ScriptedProber {
     table: HashMap<(Addr, u8), ProbeOutcome>,
     misses: Vec<(Addr, u8)>,
     stats: ProbeStats,
-    recorder: Recorder,
 }
 
 impl ScriptedProber {
@@ -45,14 +43,7 @@ impl ScriptedProber {
             table: HashMap::new(),
             misses: Vec::new(),
             stats: ProbeStats::default(),
-            recorder: Recorder::disabled(),
         }
-    }
-
-    /// Attaches a recorder that observes every probe.
-    pub fn recorder(&mut self, recorder: Recorder) -> &mut Self {
-        self.recorder = recorder;
-        self
     }
 
     /// Scripts one `(dst, ttl)` entry; later entries overwrite earlier
@@ -92,7 +83,7 @@ impl Prober for ScriptedProber {
         self.protocol
     }
 
-    fn probe_with_flow(&mut self, dst: Addr, ttl: u8, flow: u16) -> ProbeOutcome {
+    fn probe_with_flow(&mut self, dst: Addr, ttl: u8, _flow: u16) -> ProbeOutcome {
         self.stats.requests += 1;
         self.stats.sent += 1;
         let outcome = match self.table.get(&(dst, ttl)) {
@@ -103,28 +94,6 @@ impl Prober for ScriptedProber {
             }
         };
         self.stats.record(&outcome, None);
-        // Scripted probers have no network clock; the send counter
-        // stands in for it.
-        let tick = self.stats.sent;
-        self.recorder.record(|| {
-            let (kind, from) = outcome.observed();
-            ProbeEvent {
-                tick,
-                session: None,
-                vantage: self.src,
-                dst,
-                ttl,
-                protocol: self.protocol,
-                flow,
-                attempt: 0,
-                outcome: kind,
-                from,
-                phase: None,
-                cause: None,
-                timeout_cause: None,
-                unreach: outcome.unreach_reason(),
-            }
-        });
         outcome
     }
 

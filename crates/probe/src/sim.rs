@@ -11,11 +11,11 @@
 use std::time::Duration;
 
 use inet::Addr;
-use netsim::{Network, SilenceReason, Verdict};
-use obs::{ProbeEvent, Recorder, TimeoutCause};
+use netsim::{Network, Verdict};
+use obs::{ProbeEvent, Recorder, TimeoutCause, UnreachReason};
 use wire::{builder, IcmpMessage, Packet, Payload, Protocol, UnreachableCode};
 
-use crate::outcome::{ProbeOutcome, UnreachKind};
+use crate::outcome::ProbeOutcome;
 use crate::prober::{FlowMode, ProbeStats, Prober};
 use crate::retry::{RetryPolicy, RetryState};
 
@@ -182,14 +182,14 @@ fn classify_reply(
                     }
                 }
                 UnreachableCode::Host => {
-                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachKind::Host }
+                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachReason::Host }
                 }
                 UnreachableCode::Net => {
-                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachKind::Net }
+                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachReason::Net }
                 }
                 UnreachableCode::AdminProhibited => ProbeOutcome::Unreachable {
                     from: reply.header.src,
-                    kind: UnreachKind::AdminProhibited,
+                    kind: UnreachReason::AdminProhibited,
                 },
             }
         }
@@ -203,26 +203,6 @@ fn classify_reply(
 /// Initial echo identifier; an arbitrary fixed value so sessions are
 /// reproducible (callers override with [`SimProber::ident`]).
 const DEFAULT_IDENT: u16 = 0x7ace;
-
-/// Maps the simulator's silence reason onto the obs attribution
-/// vocabulary. A live prober has no such signal and leaves causes unset;
-/// the simulated prober is allowed to know, because the attribution only
-/// feeds metrics and degradation accounting, never the algorithms.
-fn silence_cause(reason: SilenceReason) -> TimeoutCause {
-    match reason {
-        SilenceReason::UnknownSource => TimeoutCause::UnknownSource,
-        SilenceReason::NoRoute => TimeoutCause::NoRoute,
-        SilenceReason::Filtered => TimeoutCause::Filtered,
-        SilenceReason::Unassigned => TimeoutCause::Unassigned,
-        SilenceReason::PolicySilence => TimeoutCause::PolicySilence,
-        SilenceReason::TtlExpiredSilently => TimeoutCause::TtlExpiredSilently,
-        SilenceReason::RateLimited => TimeoutCause::RateLimited,
-        SilenceReason::Malformed => TimeoutCause::Malformed,
-        SilenceReason::ForwardLoss => TimeoutCause::ForwardLoss,
-        SilenceReason::ReplyLoss => TimeoutCause::ReplyLoss,
-        SilenceReason::LinkDown => TimeoutCause::LinkDown,
-    }
-}
 
 impl Prober for SimProber<'_> {
     fn src(&self) -> Addr {
@@ -259,7 +239,11 @@ impl Prober for SimProber<'_> {
                     let c = (o == ProbeOutcome::Timeout).then_some(TimeoutCause::StrayReply);
                     (o, c)
                 }
-                Verdict::Silent(reason) => (ProbeOutcome::Timeout, Some(silence_cause(reason))),
+                // A live prober cannot see why the wire stayed silent and
+                // leaves the cause unset; the simulated one may know,
+                // because the cause only feeds metrics and degradation
+                // accounting, never the algorithms.
+                Verdict::Silent(cause) => (ProbeOutcome::Timeout, Some(cause)),
             };
             self.recorder.record(|| {
                 let (kind, from) = outcome.observed();
